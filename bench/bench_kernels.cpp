@@ -2,6 +2,12 @@
 // full-precision GEMM and convolution -- the mechanism behind the paper's
 // Sec. III-B/IV claims of faster, memory-saving binary inference.
 //
+// The elementwise cells (ReLU, MaxPool2d, the webinfer tanh activation)
+// time the full-precision glue around the binary kernels at the map
+// shapes the serving path runs them on: LeNet's conv1 output (12x28x28,
+// computed in the browser) and AlexNet's conv2 output (48x16x16, on the
+// edge main branch).
+//
 // Every benchmark verifies the timed kernel's output against a
 // forced-scalar reference computed up front, inside the iteration loop
 // (timing paused): a wrong-but-fast kernel fails the run with
@@ -19,8 +25,11 @@
 #include "binary/xnor_gemm.h"
 #include "common/rng.h"
 #include "common/simd.h"
+#include "nn/activations.h"
 #include "nn/conv2d.h"
+#include "nn/pooling.h"
 #include "tensor/gemm.h"
+#include "webinfer/engine.h"
 
 namespace lcrs {
 namespace {
@@ -243,6 +252,67 @@ void BM_BinaryConv2dXnor(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * conv.flops_per_sample());
 }
 BENCHMARK(BM_BinaryConv2dXnor)->Arg(32)->Arg(64)->Arg(128);
+
+// Times `op` (returning a fresh Tensor) over a seeded map of
+// [1, c, hw, hw] and checks each result against the forced-scalar one.
+template <typename Op>
+void run_elementwise(benchmark::State& state, Op op, float tol,
+                     const char* what) {
+  const std::int64_t c = state.range(0), hw = state.range(1);
+  Rng rng(5);
+  const Tensor x = Tensor::randn(Shape{1, c, hw, hw}, rng);
+  Tensor ref;
+  {
+    simd::ScopedForcedLevel force(simd::Level::kScalar);
+    ref = op(x);
+  }
+  for (auto _ : state) {
+    Tensor y = op(x);
+    benchmark::DoNotOptimize(y.data());
+    state.PauseTiming();
+    if (!verify(state, y.data(), ref.data(), y.numel(), tol, what)) return;
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+
+void BM_ReLU(benchmark::State& state) {
+  nn::ReLU relu;
+  run_elementwise(
+      state, [&](const Tensor& x) { return relu.forward(x, false); }, 0.0f,
+      "relu");
+}
+BENCHMARK(BM_ReLU)->ArgNames({"c", "hw"})->Args({12, 28})->Args({48, 16});
+
+void BM_MaxPool2d(benchmark::State& state) {
+  nn::MaxPool2d pool(2, 2);
+  run_elementwise(
+      state, [&](const Tensor& x) { return pool.forward(x, false); }, 0.0f,
+      "maxpool2d");
+}
+BENCHMARK(BM_MaxPool2d)
+    ->ArgNames({"c", "hw"})
+    ->Args({12, 28})
+    ->Args({48, 16});
+
+// The browser engine's tanh op, run through a one-op model; vector levels
+// may differ from the scalar std::tanh by the documented 1e-6.
+void BM_WebinferTanh(benchmark::State& state) {
+  webinfer::WebModel m;
+  m.in_c = state.range(0);
+  m.in_h = m.in_w = state.range(1);
+  m.num_classes = 1;
+  m.shared_op_count = 1;
+  m.ops.push_back(webinfer::ActivationOp{webinfer::ActivationOp::Kind::kTanh});
+  const webinfer::Engine engine{std::move(m)};
+  run_elementwise(
+      state, [&](const Tensor& x) { return engine.forward_shared(x); }, 1e-6f,
+      "webinfer tanh");
+}
+BENCHMARK(BM_WebinferTanh)
+    ->ArgNames({"c", "hw"})
+    ->Args({12, 28})
+    ->Args({48, 16});
 
 }  // namespace
 }  // namespace lcrs

@@ -47,6 +47,12 @@ Encodes rules no generic tool knows about this codebase:
                 non-empty committed corpus under fuzz/corpus/<name>/ --
                 an unregistered harness silently never runs, an empty
                 corpus replays nothing.
+  numel-loop    No `.numel()` / `->numel()` call in a `for` condition
+                under src/. Per-element loops hoist the count (and the
+                data() pointers) once per call; a condition re-evaluated
+                per element also keeps the loop from vectorizing. The
+                init-statement and range-for are not conditions and are
+                not flagged.
   wire-resize   Parser code in src/ may not size an allocation
                 (resize/reserve/container construction) from a value
                 read off the wire (ByteReader read_u32/u64/i64) without
@@ -141,6 +147,31 @@ SIMD_EXEMPT_FILES = {
     "src/binary/bitmatrix.cpp",
     "src/binary/xnor_gemm.cpp",
 }
+
+# A `for` statement's opening; the header is then scanned for balanced
+# parentheses to find its condition.
+FOR_HEAD = re.compile(r"\bfor\s*\(")
+NUMEL_CALL = re.compile(r"(?:\.|->)\s*numel\s*\(")
+
+
+def for_condition(code: str, open_paren: int) -> tuple[int, str] | None:
+    """Offset and text of the condition of the `for` whose `(` is at
+    `open_paren`: the part between the header's two top-level `;`.
+    None for a range-for (no top-level `;`)."""
+    depth, i, semis = 1, open_paren + 1, []
+    while i < len(code) and depth:
+        ch = code[i]
+        if ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            depth -= 1
+        elif ch == ";" and depth == 1:
+            semis.append(i)
+        i += 1
+    if len(semis) != 2:
+        return None
+    return semis[0] + 1, code[semis[0] + 1:semis[1]]
+
 
 # A local variable (or member) assigned straight from a ByteReader length/
 # count read. The captured name is then tracked forward for allocation use.
@@ -345,6 +376,20 @@ class Linter:
                     "remaining()/a format cap before allocating",
                     symbol=var)
 
+    def lint_numel_loop(self, path: Path, code: str) -> None:
+        for m in FOR_HEAD.finditer(code):
+            cond = for_condition(code, m.end() - 1)
+            if cond is None:
+                continue
+            start, text = cond
+            call = NUMEL_CALL.search(text)
+            if call:
+                line = code.count("\n", 0, start + call.start()) + 1
+                self.report(
+                    "numel-loop", path, line,
+                    "numel() in a for condition -- hoist the count (and "
+                    "the data() spans) before the loop")
+
     def lint_fuzz_registration(self) -> None:
         fuzz_dir = REPO / "fuzz"
         cmake = fuzz_dir / "CMakeLists.txt"
@@ -407,6 +452,7 @@ class Linter:
                 self.lint_randomness(path, code)
                 self.lint_naked_new(path, code)
                 self.lint_raw_sync(path, code)
+                self.lint_numel_loop(path, code)
                 if not self.delegate_ast:
                     self.lint_wire_resize(path, code)
             if rel.startswith(("src/", "bench/")):

@@ -29,7 +29,8 @@ BinarizedFilters binarize_filters(const Tensor& w) {
 Tensor ste_clip(const Tensor& grad, const Tensor& x) {
   LCRS_CHECK(grad.same_shape(x), "ste_clip shape mismatch");
   Tensor out(grad.shape());
-  for (std::int64_t i = 0; i < grad.numel(); ++i) {
+  const std::int64_t n = grad.numel();
+  for (std::int64_t i = 0; i < n; ++i) {
     out[i] = (x[i] >= -1.0f && x[i] <= 1.0f) ? grad[i] : 0.0f;
   }
   return out;

@@ -50,7 +50,8 @@ float quantization_error(const Tensor& w, const QuantizedFilters& qf) {
   LCRS_CHECK(w.numel() == qf.rows * qf.cols, "quantization_error mismatch");
   const Tensor deq = dequantize(qf);
   float max_err = 0.0f;
-  for (std::int64_t i = 0; i < w.numel(); ++i) {
+  const std::int64_t n = w.numel();
+  for (std::int64_t i = 0; i < n; ++i) {
     max_err = std::max(max_err, std::fabs(w[i] - deq[i]));
   }
   return max_err;

@@ -103,12 +103,15 @@ Tensor xnor_linear(const Tensor& input, const BitMatrix& weight_bits,
   const BitMatrix in_bits = BitMatrix::pack(input.data(), n, input.dim(1));
 
   Tensor y = xnor_matmul(in_bits, weight_bits);  // [n x out]
+  const float* a = alpha.data();
+  const float* bias_row = bias != nullptr ? bias->data() : nullptr;
   for (std::int64_t b = 0; b < n; ++b) {
     float* row = y.data() + b * out;
     const float bv = beta[b];
-    for (std::int64_t o = 0; o < out; ++o) {
-      row[o] *= bv * alpha[o];
-      if (bias != nullptr) row[o] += (*bias)[o];
+    for (std::int64_t o = 0; o < out; ++o) row[o] *= bv * a[o];
+    // Separate pass, as in BinaryLinear::forward: scale rounds, then bias.
+    if (bias_row != nullptr) {
+      for (std::int64_t o = 0; o < out; ++o) row[o] += bias_row[o];
     }
   }
   return y;

@@ -12,7 +12,8 @@ Tensor Dropout::forward(const Tensor& input, bool train) {
   const float scale = 1.0f / keep;
   mask_.assign(static_cast<std::size_t>(input.numel()), 0.0f);
   Tensor out(input.shape());
-  for (std::int64_t i = 0; i < input.numel(); ++i) {
+  const std::int64_t n = input.numel();
+  for (std::int64_t i = 0; i < n; ++i) {
     if (!rng_.bernoulli(p_)) {
       mask_[static_cast<std::size_t>(i)] = scale;
       out[i] = input[i] * scale;
@@ -26,7 +27,8 @@ Tensor Dropout::backward(const Tensor& grad_output) {
   LCRS_CHECK(static_cast<std::int64_t>(mask_.size()) == grad_output.numel(),
              "dropout backward without matching forward");
   Tensor grad(grad_output.shape());
-  for (std::int64_t i = 0; i < grad.numel(); ++i) {
+  const std::int64_t n = grad.numel();
+  for (std::int64_t i = 0; i < n; ++i) {
     grad[i] = grad_output[i] * mask_[static_cast<std::size_t>(i)];
   }
   return grad;

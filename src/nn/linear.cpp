@@ -29,9 +29,10 @@ Tensor Linear::forward(const Tensor& input, bool train) {
     gemm_bt(input.data(), weight_.value.data(), out.data(), n, in_, out_);
   }
   if (has_bias_) {
+    const float* bias = bias_.value.data();
     for (std::int64_t b = 0; b < n; ++b) {
       float* row = out.data() + b * out_;
-      for (std::int64_t o = 0; o < out_; ++o) row[o] += bias_.value[o];
+      for (std::int64_t o = 0; o < out_; ++o) row[o] += bias[o];
     }
   }
   if (train) cached_input_ = input;

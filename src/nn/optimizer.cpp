@@ -41,18 +41,19 @@ void Sgd::step(const std::vector<Param*>& params) {
   for (Param* p : params) {
     Tensor& val = p->value;
     Tensor& grad = p->grad;
+    const std::int64_t n = val.numel();
     if (momentum_ > 0.0) {
       auto [it, inserted] = velocity_.try_emplace(p, val.shape());
       Tensor& vel = it->second;
       (void)inserted;
-      for (std::int64_t i = 0; i < val.numel(); ++i) {
+      for (std::int64_t i = 0; i < n; ++i) {
         const float g =
             grad[i] + static_cast<float>(weight_decay_) * val[i];
         vel[i] = static_cast<float>(momentum_) * vel[i] + g;
         val[i] -= static_cast<float>(lr_) * vel[i];
       }
     } else {
-      for (std::int64_t i = 0; i < val.numel(); ++i) {
+      for (std::int64_t i = 0; i < n; ++i) {
         const float g =
             grad[i] + static_cast<float>(weight_decay_) * val[i];
         val[i] -= static_cast<float>(lr_) * g;
@@ -66,7 +67,8 @@ double clip_grad_norm(const std::vector<Param*>& params, double max_norm) {
   LCRS_CHECK(max_norm > 0.0, "clip_grad_norm needs max_norm > 0");
   double sq = 0.0;
   for (const Param* p : params) {
-    for (std::int64_t i = 0; i < p->grad.numel(); ++i) {
+    const std::int64_t n = p->grad.numel();
+    for (std::int64_t i = 0; i < n; ++i) {
       const double g = static_cast<double>(p->grad[i]);
       sq += g * g;
     }
@@ -75,9 +77,8 @@ double clip_grad_norm(const std::vector<Param*>& params, double max_norm) {
   if (norm > max_norm) {
     const float scale = static_cast<float>(max_norm / norm);
     for (Param* p : params) {
-      for (std::int64_t i = 0; i < p->grad.numel(); ++i) {
-        p->grad[i] *= scale;
-      }
+      const std::int64_t n = p->grad.numel();
+      for (std::int64_t i = 0; i < n; ++i) p->grad[i] *= scale;
     }
   }
   return norm;
@@ -100,7 +101,8 @@ void Adam::step(const std::vector<Param*>& params) {
     Tensor& grad = p->grad;
     Tensor& m = m_.try_emplace(p, val.shape()).first->second;
     Tensor& v = v_.try_emplace(p, val.shape()).first->second;
-    for (std::int64_t i = 0; i < val.numel(); ++i) {
+    const std::int64_t n = val.numel();
+    for (std::int64_t i = 0; i < n; ++i) {
       const double g = static_cast<double>(grad[i]) +
                        weight_decay_ * static_cast<double>(val[i]);
       m[i] = static_cast<float>(

@@ -9,6 +9,35 @@ std::int64_t pooled_extent(std::int64_t in, std::int64_t k, std::int64_t s) {
   LCRS_CHECK(in >= k, "pool window " << k << " larger than input " << in);
   return (in - k) / s + 1;
 }
+
+// One output plane of max pooling. kTrack records the flat input index
+// of each window's maximum (training needs it for backward); eval skips
+// that bookkeeping entirely.
+template <bool kTrack>
+void maxpool_plane(const float* plane, std::int64_t plane_base,
+                   std::int64_t w, std::int64_t oh, std::int64_t ow,
+                   std::int64_t kernel, std::int64_t stride, float* out,
+                   std::int64_t* argmax) {
+  for (std::int64_t y = 0; y < oh; ++y) {
+    for (std::int64_t x = 0; x < ow; ++x) {
+      float best = -std::numeric_limits<float>::infinity();
+      [[maybe_unused]] std::int64_t best_idx = 0;
+      for (std::int64_t ky = 0; ky < kernel; ++ky) {
+        const float* row = plane + (y * stride + ky) * w + x * stride;
+        for (std::int64_t kx = 0; kx < kernel; ++kx) {
+          if (row[kx] > best) {
+            best = row[kx];
+            if constexpr (kTrack) {
+              best_idx = plane_base + (y * stride + ky) * w + x * stride + kx;
+            }
+          }
+        }
+      }
+      out[y * ow + x] = best;
+      if constexpr (kTrack) argmax[y * ow + x] = best_idx;
+    }
+  }
+}
 }  // namespace
 
 MaxPool2d::MaxPool2d(std::int64_t kernel, std::int64_t stride)
@@ -27,30 +56,15 @@ Tensor MaxPool2d::forward(const Tensor& input, bool train) {
     input_shape_ = input.shape();
     argmax_.assign(static_cast<std::size_t>(out.numel()), 0);
   }
-  std::int64_t oi = 0;
-  for (std::int64_t b = 0; b < n; ++b) {
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      const float* plane = input.data() + (b * c + ch) * h * w;
-      const std::int64_t plane_base = (b * c + ch) * h * w;
-      for (std::int64_t y = 0; y < oh; ++y) {
-        for (std::int64_t x = 0; x < ow; ++x, ++oi) {
-          float best = -std::numeric_limits<float>::infinity();
-          std::int64_t best_idx = 0;
-          for (std::int64_t ky = 0; ky < kernel_; ++ky) {
-            const std::int64_t iy = y * stride_ + ky;
-            for (std::int64_t kx = 0; kx < kernel_; ++kx) {
-              const std::int64_t ix = x * stride_ + kx;
-              const float v = plane[iy * w + ix];
-              if (v > best) {
-                best = v;
-                best_idx = plane_base + iy * w + ix;
-              }
-            }
-          }
-          out[oi] = best;
-          if (train) argmax_[static_cast<std::size_t>(oi)] = best_idx;
-        }
-      }
+  for (std::int64_t p = 0; p < n * c; ++p) {
+    const float* plane = input.data() + p * h * w;
+    float* dst = out.data() + p * oh * ow;
+    if (train) {
+      maxpool_plane<true>(plane, p * h * w, w, oh, ow, kernel_, stride_, dst,
+                          argmax_.data() + p * oh * ow);
+    } else {
+      maxpool_plane<false>(plane, 0, w, oh, ow, kernel_, stride_, dst,
+                           nullptr);
     }
   }
   return out;
@@ -62,8 +76,11 @@ Tensor MaxPool2d::backward(const Tensor& grad_output) {
                  static_cast<std::int64_t>(argmax_.size()),
              "maxpool grad_output numel mismatch");
   Tensor grad_input{input_shape_};
-  for (std::int64_t i = 0; i < grad_output.numel(); ++i) {
-    grad_input[argmax_[static_cast<std::size_t>(i)]] += grad_output[i];
+  float* gi = grad_input.data();
+  const float* go = grad_output.data();
+  const std::int64_t count = grad_output.numel();
+  for (std::int64_t i = 0; i < count; ++i) {
+    gi[argmax_[static_cast<std::size_t>(i)]] += go[i];
   }
   return grad_input;
 }
@@ -81,19 +98,19 @@ Tensor AvgPool2d::forward(const Tensor& input, bool train) {
   const std::int64_t ow = pooled_extent(w, kernel_, stride_);
   const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
   Tensor out{Shape{n, c, oh, ow}};
-  std::int64_t oi = 0;
+  float* dst = out.data();
   for (std::int64_t b = 0; b < n; ++b) {
     for (std::int64_t ch = 0; ch < c; ++ch) {
       const float* plane = input.data() + (b * c + ch) * h * w;
       for (std::int64_t y = 0; y < oh; ++y) {
-        for (std::int64_t x = 0; x < ow; ++x, ++oi) {
+        for (std::int64_t x = 0; x < ow; ++x) {
           float acc = 0.0f;
           for (std::int64_t ky = 0; ky < kernel_; ++ky) {
             for (std::int64_t kx = 0; kx < kernel_; ++kx) {
               acc += plane[(y * stride_ + ky) * w + (x * stride_ + kx)];
             }
           }
-          out[oi] = acc * inv;
+          *dst++ = acc * inv;
         }
       }
     }

@@ -4,6 +4,18 @@
 
 namespace lcrs::nn {
 
+namespace {
+// The block's ReLU, in place: negatives become +0; NaN and -0 pass
+// through unchanged.
+void relu_inplace(Tensor& t) {
+  float* p = t.data();
+  const std::int64_t n = t.numel();
+  for (std::int64_t i = 0; i < n; ++i) {
+    if (p[i] < 0.0f) p[i] = 0.0f;
+  }
+}
+}  // namespace
+
 ResidualBlock::ResidualBlock(std::int64_t in_c, std::int64_t out_c,
                              std::int64_t stride, std::int64_t in_h,
                              std::int64_t in_w, Rng& rng)
@@ -29,9 +41,7 @@ Tensor ResidualBlock::forward(const Tensor& input, bool train) {
   Tensor main = conv1_->forward(input, train);
   main = bn1_->forward(main, train);
   if (train) cached_relu1_in_ = main;
-  for (std::int64_t i = 0; i < main.numel(); ++i) {
-    if (main[i] < 0.0f) main[i] = 0.0f;
-  }
+  relu_inplace(main);
   main = conv2_->forward(main, train);
   main = bn2_->forward(main, train);
 
@@ -42,9 +52,7 @@ Tensor ResidualBlock::forward(const Tensor& input, bool train) {
   }
   add_inplace(main, sc);
   if (train) cached_sum_ = main;
-  for (std::int64_t i = 0; i < main.numel(); ++i) {
-    if (main[i] < 0.0f) main[i] = 0.0f;
-  }
+  relu_inplace(main);
   return main;
 }
 
@@ -53,7 +61,8 @@ Tensor ResidualBlock::backward(const Tensor& grad_output) {
              "resblock backward without cached forward");
   // Through the final ReLU.
   Tensor g(grad_output.shape());
-  for (std::int64_t i = 0; i < g.numel(); ++i) {
+  const std::int64_t count = g.numel();
+  for (std::int64_t i = 0; i < count; ++i) {
     g[i] = cached_sum_[i] > 0.0f ? grad_output[i] : 0.0f;
   }
 
@@ -67,7 +76,8 @@ Tensor ResidualBlock::backward(const Tensor& grad_output) {
   // Main path gradient.
   Tensor g_main = bn2_->backward(g);
   g_main = conv2_->backward(g_main);
-  for (std::int64_t i = 0; i < g_main.numel(); ++i) {
+  const std::int64_t main_count = g_main.numel();
+  for (std::int64_t i = 0; i < main_count; ++i) {
     if (cached_relu1_in_[i] <= 0.0f) g_main[i] = 0.0f;
   }
   g_main = bn1_->backward(g_main);

@@ -13,16 +13,20 @@ Tensor Tensor::full(Shape shape, float value) {
 
 Tensor Tensor::randn(Shape shape, Rng& rng, float mean, float stddev) {
   Tensor t(std::move(shape));
-  for (std::int64_t i = 0; i < t.numel(); ++i) {
-    t[i] = static_cast<float>(rng.normal(mean, stddev));
+  float* p = t.data();
+  const std::int64_t n = t.numel();
+  for (std::int64_t i = 0; i < n; ++i) {
+    p[i] = static_cast<float>(rng.normal(mean, stddev));
   }
   return t;
 }
 
 Tensor Tensor::rand(Shape shape, Rng& rng, float lo, float hi) {
   Tensor t(std::move(shape));
-  for (std::int64_t i = 0; i < t.numel(); ++i) {
-    t[i] = static_cast<float>(rng.uniform(lo, hi));
+  float* p = t.data();
+  const std::int64_t n = t.numel();
+  for (std::int64_t i = 0; i < n; ++i) {
+    p[i] = static_cast<float>(rng.uniform(lo, hi));
   }
   return t;
 }

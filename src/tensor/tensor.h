@@ -48,7 +48,12 @@ class Tensor {
   static Tensor kaiming(Shape shape, Rng& rng, std::int64_t fan_in);
 
   const Shape& shape() const { return shape_; }
-  std::int64_t numel() const { return shape_.numel(); }
+  /// Element count of the storage. A default-constructed or moved-from
+  /// tensor has rank 0 (whose shape product is 1) but no storage, so this
+  /// reads the buffer, not the shape: numel() is 0 there and O(1) always.
+  std::int64_t numel() const {
+    return static_cast<std::int64_t>(data_.size());
+  }
   std::int64_t dim(std::int64_t i) const { return shape_[i]; }
   std::int64_t rank() const { return shape_.rank(); }
 

@@ -17,49 +17,72 @@ void check_same_shape(const Tensor& a, const Tensor& b, const char* op) {
 Tensor add(const Tensor& a, const Tensor& b) {
   check_same_shape(a, b, "add");
   Tensor out(a.shape());
-  for (std::int64_t i = 0; i < a.numel(); ++i) out[i] = a[i] + b[i];
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* po = out.data();
+  const std::int64_t n = a.numel();
+  for (std::int64_t i = 0; i < n; ++i) po[i] = pa[i] + pb[i];
   return out;
 }
 
 void add_inplace(Tensor& a, const Tensor& b) {
   check_same_shape(a, b, "add_inplace");
-  for (std::int64_t i = 0; i < a.numel(); ++i) a[i] += b[i];
+  float* pa = a.data();
+  const float* pb = b.data();
+  const std::int64_t n = a.numel();
+  for (std::int64_t i = 0; i < n; ++i) pa[i] += pb[i];
 }
 
 void axpy_inplace(Tensor& a, float alpha, const Tensor& b) {
   check_same_shape(a, b, "axpy_inplace");
-  for (std::int64_t i = 0; i < a.numel(); ++i) a[i] += alpha * b[i];
+  float* pa = a.data();
+  const float* pb = b.data();
+  const std::int64_t n = a.numel();
+  for (std::int64_t i = 0; i < n; ++i) pa[i] += alpha * pb[i];
 }
 
 Tensor sub(const Tensor& a, const Tensor& b) {
   check_same_shape(a, b, "sub");
   Tensor out(a.shape());
-  for (std::int64_t i = 0; i < a.numel(); ++i) out[i] = a[i] - b[i];
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* po = out.data();
+  const std::int64_t n = a.numel();
+  for (std::int64_t i = 0; i < n; ++i) po[i] = pa[i] - pb[i];
   return out;
 }
 
 Tensor mul(const Tensor& a, const Tensor& b) {
   check_same_shape(a, b, "mul");
   Tensor out(a.shape());
-  for (std::int64_t i = 0; i < a.numel(); ++i) out[i] = a[i] * b[i];
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* po = out.data();
+  const std::int64_t n = a.numel();
+  for (std::int64_t i = 0; i < n; ++i) po[i] = pa[i] * pb[i];
   return out;
 }
 
 Tensor scale(const Tensor& a, float s) {
   Tensor out(a.shape());
-  for (std::int64_t i = 0; i < a.numel(); ++i) out[i] = a[i] * s;
+  const float* pa = a.data();
+  float* po = out.data();
+  const std::int64_t n = a.numel();
+  for (std::int64_t i = 0; i < n; ++i) po[i] = pa[i] * s;
   return out;
 }
 
 void scale_inplace(Tensor& a, float s) {
-  for (std::int64_t i = 0; i < a.numel(); ++i) a[i] *= s;
+  float* pa = a.data();
+  const std::int64_t n = a.numel();
+  for (std::int64_t i = 0; i < n; ++i) pa[i] *= s;
 }
 
 double sum(const Tensor& a) {
   double acc = 0.0;
-  for (std::int64_t i = 0; i < a.numel(); ++i) {
-    acc += static_cast<double>(a[i]);
-  }
+  const float* pa = a.data();
+  const std::int64_t n = a.numel();
+  for (std::int64_t i = 0; i < n; ++i) acc += static_cast<double>(pa[i]);
   return acc;
 }
 
@@ -70,25 +93,25 @@ double mean(const Tensor& a) {
 
 double mean_abs(const Tensor& a) {
   LCRS_CHECK(a.numel() > 0, "mean_abs of empty tensor");
-  double acc = 0.0;
-  for (std::int64_t i = 0; i < a.numel(); ++i) {
-    acc += static_cast<double>(std::fabs(a[i]));
-  }
-  return acc / static_cast<double>(a.numel());
+  return l1_norm(a) / static_cast<double>(a.numel());
 }
 
 float max_value(const Tensor& a) {
   LCRS_CHECK(a.numel() > 0, "max of empty tensor");
-  float m = a[0];
-  for (std::int64_t i = 1; i < a.numel(); ++i) m = std::max(m, a[i]);
+  const float* pa = a.data();
+  const std::int64_t n = a.numel();
+  float m = pa[0];
+  for (std::int64_t i = 1; i < n; ++i) m = std::max(m, pa[i]);
   return m;
 }
 
 std::int64_t argmax(const Tensor& a) {
   LCRS_CHECK(a.numel() > 0, "argmax of empty tensor");
+  const float* pa = a.data();
+  const std::int64_t n = a.numel();
   std::int64_t best = 0;
-  for (std::int64_t i = 1; i < a.numel(); ++i) {
-    if (a[i] > a[best]) best = i;
+  for (std::int64_t i = 1; i < n; ++i) {
+    if (pa[i] > pa[best]) best = i;
   }
   return best;
 }
@@ -131,24 +154,29 @@ Tensor softmax_rows(const Tensor& logits) {
 
 Tensor sign(const Tensor& a) {
   Tensor out(a.shape());
-  for (std::int64_t i = 0; i < a.numel(); ++i) {
-    out[i] = a[i] >= 0.0f ? 1.0f : -1.0f;
-  }
+  const float* pa = a.data();
+  float* po = out.data();
+  const std::int64_t n = a.numel();
+  for (std::int64_t i = 0; i < n; ++i) po[i] = pa[i] >= 0.0f ? 1.0f : -1.0f;
   return out;
 }
 
 double l1_norm(const Tensor& a) {
   double acc = 0.0;
-  for (std::int64_t i = 0; i < a.numel(); ++i) {
-    acc += static_cast<double>(std::fabs(a[i]));
+  const float* pa = a.data();
+  const std::int64_t n = a.numel();
+  for (std::int64_t i = 0; i < n; ++i) {
+    acc += static_cast<double>(std::fabs(pa[i]));
   }
   return acc;
 }
 
 double l2_norm(const Tensor& a) {
   double acc = 0.0;
-  for (std::int64_t i = 0; i < a.numel(); ++i) {
-    const double v = static_cast<double>(a[i]);
+  const float* pa = a.data();
+  const std::int64_t n = a.numel();
+  for (std::int64_t i = 0; i < n; ++i) {
+    const double v = static_cast<double>(pa[i]);
     acc += v * v;
   }
   return std::sqrt(acc);
@@ -157,8 +185,11 @@ double l2_norm(const Tensor& a) {
 float max_abs_diff(const Tensor& a, const Tensor& b) {
   check_same_shape(a, b, "max_abs_diff");
   float m = 0.0f;
-  for (std::int64_t i = 0; i < a.numel(); ++i) {
-    m = std::max(m, std::fabs(a[i] - b[i]));
+  const float* pa = a.data();
+  const float* pb = b.data();
+  const std::int64_t n = a.numel();
+  for (std::int64_t i = 0; i < n; ++i) {
+    m = std::max(m, std::fabs(pa[i] - pb[i]));
   }
   return m;
 }

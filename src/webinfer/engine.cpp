@@ -1,6 +1,6 @@
 #include "webinfer/engine.h"
 
-#include <cmath>
+#include <algorithm>
 #include <limits>
 #include <vector>
 
@@ -8,6 +8,7 @@
 #include "common/numerics.h"
 #include "common/obs/metric_names.h"
 #include "common/obs/metrics.h"
+#include "common/simd_math.h"
 #include "common/stopwatch.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
@@ -61,9 +62,10 @@ Tensor run_linear(const LinearOp& op, const Tensor& x) {
   Tensor out{Shape{n, op.out}};
   gemm_bt(x.data(), op.weight.data(), out.data(), n, op.in, op.out);
   if (op.has_bias) {
+    const float* bias = op.bias.data();
     for (std::int64_t b = 0; b < n; ++b) {
       float* row = out.data() + b * op.out;
-      for (std::int64_t o = 0; o < op.out; ++o) row[o] += op.bias[o];
+      for (std::int64_t o = 0; o < op.out; ++o) row[o] += bias[o];
     }
   }
   return out;
@@ -86,24 +88,28 @@ Tensor run_batchnorm(const BatchNormOp& op, const Tensor& x) {
   return out;
 }
 
-Tensor run_activation(const ActivationOp& op, const Tensor& x) {
-  Tensor out(x.shape());
+// Activations run in place on the runner's own tensor, over one hoisted
+// span. ReLU and HardTanh are the reference per-element formulas (ReLU
+// maps NaN and -0 to +0). Tanh goes through simd::tanh_inplace, the kernel
+// nn::Tanh uses: exact std::tanh at the scalar dispatch level
+// (LCRS_SIMD=scalar), within 1e-6 absolute of it at AVX2 (DESIGN.md
+// sect. 13). It is elementwise-pure, so batch == single still holds.
+void run_activation(const ActivationOp& op, Tensor& x) {
+  float* p = x.data();
+  const std::int64_t n = x.numel();
   switch (op.kind) {
     case ActivationOp::Kind::kReLU:
-      for (std::int64_t i = 0; i < x.numel(); ++i) {
-        out[i] = x[i] > 0.0f ? x[i] : 0.0f;
-      }
+      for (std::int64_t i = 0; i < n; ++i) p[i] = p[i] > 0.0f ? p[i] : 0.0f;
       break;
     case ActivationOp::Kind::kTanh:
-      for (std::int64_t i = 0; i < x.numel(); ++i) out[i] = std::tanh(x[i]);
+      simd::tanh_inplace(p, n);
       break;
     case ActivationOp::Kind::kHardTanh:
-      for (std::int64_t i = 0; i < x.numel(); ++i) {
-        out[i] = x[i] > 1.0f ? 1.0f : (x[i] < -1.0f ? -1.0f : x[i]);
+      for (std::int64_t i = 0; i < n; ++i) {
+        p[i] = p[i] > 1.0f ? 1.0f : (p[i] < -1.0f ? -1.0f : p[i]);
       }
       break;
   }
-  return out;
 }
 
 Tensor run_maxpool(const MaxPoolOp& op, const Tensor& x) {
@@ -113,21 +119,19 @@ Tensor run_maxpool(const MaxPoolOp& op, const Tensor& x) {
   const std::int64_t ow = (w - op.kernel) / op.stride + 1;
   LCRS_CHECK(oh >= 1 && ow >= 1, "maxpool op output is empty");
   Tensor out{Shape{n, c, oh, ow}};
-  std::int64_t oi = 0;
-  for (std::int64_t b = 0; b < n; ++b) {
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      const float* plane = x.data() + (b * c + ch) * h * w;
-      for (std::int64_t y = 0; y < oh; ++y) {
-        for (std::int64_t xx = 0; xx < ow; ++xx, ++oi) {
-          float best = -std::numeric_limits<float>::infinity();
-          for (std::int64_t ky = 0; ky < op.kernel; ++ky) {
-            for (std::int64_t kx = 0; kx < op.kernel; ++kx) {
-              best = std::max(best, plane[(y * op.stride + ky) * w +
-                                          (xx * op.stride + kx)]);
-            }
+  float* dst = out.data();
+  for (std::int64_t p = 0; p < n * c; ++p) {
+    const float* plane = x.data() + p * h * w;
+    for (std::int64_t y = 0; y < oh; ++y) {
+      for (std::int64_t xx = 0; xx < ow; ++xx) {
+        float best = -std::numeric_limits<float>::infinity();
+        for (std::int64_t ky = 0; ky < op.kernel; ++ky) {
+          const float* row = plane + (y * op.stride + ky) * w + xx * op.stride;
+          for (std::int64_t kx = 0; kx < op.kernel; ++kx) {
+            best = std::max(best, row[kx]);
           }
-          out[oi] = best;
         }
+        *dst++ = best;
       }
     }
   }
@@ -164,7 +168,7 @@ struct OpRunner {
                             op.has_bias ? &op.bias : nullptr);
   }
   void operator()(const BatchNormOp& op) { x = run_batchnorm(op, x); }
-  void operator()(const ActivationOp& op) { x = run_activation(op, x); }
+  void operator()(const ActivationOp& op) { run_activation(op, x); }
   void operator()(const MaxPoolOp& op) { x = run_maxpool(op, x); }
   void operator()(const GlobalAvgPoolOp&) { x = run_gap(x); }
   void operator()(const FlattenOp&) {

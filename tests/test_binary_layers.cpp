@@ -3,6 +3,8 @@
 // effectiveness of the full binary stack.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "binary/binary_conv2d.h"
 #include "common/numerics.h"
 #include "binary/binary_linear.h"
@@ -100,6 +102,32 @@ TEST(BinaryConv, BackwardGatesInputGradBySte) {
   const Tensor gx = conv.backward(Tensor::ones(y.shape()));
   EXPECT_EQ(gx[0], 0.0f);
   EXPECT_NE(gx[1], 0.0f);
+}
+
+// Runs `fn`, which must throw lcrs::Error whose message names the
+// missing cached forward -- not some later shape check it stumbled into.
+template <typename Fn>
+void expect_no_cached_forward(Fn fn) {
+  try {
+    fn();
+    ADD_FAILURE() << "backward before forward did not throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("without cached forward"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(BinaryConv, BackwardWithoutForwardThrows) {
+  Rng rng(4);
+  BinaryConv2d conv(2, 3, 3, 1, 1, 6, 6, rng);
+  expect_no_cached_forward([&] { conv.backward(Tensor{Shape{1, 3, 6, 6}}); });
+}
+
+TEST(BinaryLinear, BackwardWithoutForwardThrows) {
+  Rng rng(4);
+  BinaryLinear lin(8, 4, rng);
+  expect_no_cached_forward([&] { lin.backward(Tensor{Shape{2, 4}}); });
 }
 
 TEST(BinaryConv, WeightBytesRoughly32xSmaller) {

@@ -2,6 +2,8 @@
 // Gradient correctness is covered separately in test_gradcheck.cpp.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "nn/activations.h"
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
@@ -42,10 +44,42 @@ TEST(Conv2d, WrongInputShapeThrows) {
   EXPECT_THROW(conv.forward(Tensor{Shape{3, 16, 16}}, false), Error);
 }
 
+// Runs `fn`, which must throw lcrs::Error whose message names the
+// missing cached forward -- not some later shape check it stumbled into.
+template <typename Fn>
+void expect_no_cached_forward(Fn fn) {
+  try {
+    fn();
+    ADD_FAILURE() << "backward before forward did not throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("without cached forward"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Conv2d, BackwardWithoutForwardThrows) {
   Rng rng(1);
   Conv2d conv(1, 2, 3, 1, 1, 8, 8, rng);
-  EXPECT_THROW(conv.backward(Tensor{Shape{1, 2, 8, 8}}), Error);
+  expect_no_cached_forward([&] { conv.backward(Tensor{Shape{1, 2, 8, 8}}); });
+}
+
+TEST(Linear, BackwardWithoutForwardThrows) {
+  Rng rng(1);
+  Linear lin(4, 3, rng);
+  expect_no_cached_forward([&] { lin.backward(Tensor{Shape{2, 3}}); });
+}
+
+TEST(BatchNorm, BackwardWithoutForwardThrows) {
+  BatchNorm bn(2);
+  expect_no_cached_forward([&] { bn.backward(Tensor{Shape{1, 2, 4, 4}}); });
+}
+
+TEST(Residual, BackwardWithoutForwardThrows) {
+  Rng rng(1);
+  ResidualBlock block(2, 2, 1, 6, 6, rng);
+  expect_no_cached_forward(
+      [&] { block.backward(Tensor{Shape{1, 2, 6, 6}}); });
 }
 
 TEST(Linear, MatchesManualAffine) {

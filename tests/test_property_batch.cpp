@@ -10,20 +10,29 @@
 //     layers, the full main branch, and complete_main_batch.
 //   * stack_outer/slice_outer are exact inverses, so the server's
 //     stack -> forward -> slice round trip cannot perturb a value.
+//   * elementwise ops (activations, max pooling, bias adds, tensor ops)
+//     run over raw spans; each must equal its reference per-element
+//     formula bit for bit, on NaN, +-0, +-inf and denormals, at every
+//     ragged length and every compiled dispatch level.
 //
 // Seeds are fixed; any failure replays exactly.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
 #include "binary/binary_conv2d.h"
 #include "binary/binary_linear.h"
+#include "binary/xnor_gemm.h"
 #include "common/simd.h"
 #include "common/simd_math.h"
 #include "core/inference.h"
+#include "nn/activations.h"
 #include "nn/conv2d.h"
+#include "nn/linear.h"
+#include "nn/pooling.h"
 #include "tensor/tensor_ops.h"
 
 namespace lcrs {
@@ -339,6 +348,287 @@ TEST(PropertyTanh, KernelIsElementwisePureAcrossRaggedLengths) {
     for (std::int64_t j = 0; j < len; ++j) {
       EXPECT_EQ(full[j], prefix[static_cast<std::size_t>(j)])
           << "len " << len << " index " << j;
+    }
+  }
+}
+
+// --- Elementwise ops over raw spans ---
+
+// The lengths the rewritten loops must get right: every vector-tail
+// remainder for 4- and 8-wide code, and the LeNet/AlexNet map size.
+std::vector<std::int64_t> ragged_lengths() {
+  std::vector<std::int64_t> lengths;
+  for (std::int64_t n = 1; n <= 17; ++n) lengths.push_back(n);
+  lengths.push_back(12288);
+  return lengths;
+}
+
+// Gaussian values with the awkward ones spliced in at a stride that is
+// coprime with every vector width: NaN, +-0, +-inf, denormals, the
+// HardTanh knees and their neighbours.
+Tensor awkward_values(Shape shape, Rng& rng) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            0.0f,
+                            -0.0f,
+                            inf,
+                            -inf,
+                            denorm,
+                            -denorm,
+                            1e-40f,
+                            -1e-40f,
+                            1.0f,
+                            -1.0f,
+                            std::nextafter(1.0f, 2.0f),
+                            std::nextafter(-1.0f, -2.0f)};
+  constexpr std::int64_t kCount = sizeof(specials) / sizeof(specials[0]);
+  Tensor t = Tensor::randn(std::move(shape), rng, 0.0f, 2.0f);
+  for (std::int64_t i = 0; i < t.numel(); i += 3) {
+    t.data()[i] = specials[(i / 3) % kCount];
+  }
+  return t;
+}
+
+bool same_bits(float a, float b) { return std::memcmp(&a, &b, 4) == 0; }
+
+// Expects out[i] to carry exactly the bits of want(i) for every i.
+template <typename Want>
+void expect_bits(const Tensor& out, Want want, const std::string& what) {
+  for (std::int64_t i = 0; i < out.numel(); ++i) {
+    const float w = want(i);
+    ASSERT_TRUE(same_bits(out.data()[i], w))
+        << what << " index " << i << ": got " << out.data()[i] << " want "
+        << w;
+  }
+}
+
+float ref_relu(float x) { return x > 0.0f ? x : 0.0f; }
+float ref_hardtanh(float x) {
+  return x > 1.0f ? 1.0f : (x < -1.0f ? -1.0f : x);
+}
+
+TEST(PropertyElementwise, ActivationsMatchReferenceFormulasBitExact) {
+  Rng rng(11013);
+  for (const simd::Level level : testable_levels()) {
+    simd::ScopedForcedLevel force(level);
+    for (const std::int64_t n : ragged_lengths()) {
+      const std::string tag = std::string(simd::level_name(level)) +
+                              " n=" + std::to_string(n);
+      const Tensor x = awkward_values(Shape{n}, rng);
+      const Tensor g = awkward_values(Shape{n}, rng);
+      const float* xp = x.data();
+      const float* gp = g.data();
+
+      nn::ReLU relu;
+      expect_bits(relu.forward(x, true),
+                  [&](std::int64_t i) { return ref_relu(xp[i]); },
+                  "relu " + tag);
+      expect_bits(relu.backward(g),
+                  [&](std::int64_t i) { return xp[i] > 0.0f ? gp[i] : 0.0f; },
+                  "relu backward " + tag);
+
+      nn::HardTanh hardtanh;
+      expect_bits(hardtanh.forward(x, true),
+                  [&](std::int64_t i) { return ref_hardtanh(xp[i]); },
+                  "hardtanh " + tag);
+      expect_bits(hardtanh.backward(g),
+                  [&](std::int64_t i) {
+                    return (xp[i] >= -1.0f && xp[i] <= 1.0f) ? gp[i] : 0.0f;
+                  },
+                  "hardtanh backward " + tag);
+
+      nn::Tanh tanh_layer;
+      const Tensor y = tanh_layer.forward(x, true);
+      const float* yp = y.data();
+      expect_bits(tanh_layer.backward(g),
+                  [&](std::int64_t i) {
+                    return gp[i] * (1.0f - yp[i] * yp[i]);
+                  },
+                  "tanh backward " + tag);
+    }
+  }
+  // The reference ReLU sends NaN and -0 to +0; the span loop keeps that.
+  nn::ReLU relu;
+  Tensor edge{Shape{2}};
+  edge.data()[0] = std::numeric_limits<float>::quiet_NaN();
+  edge.data()[1] = -0.0f;
+  const Tensor out = relu.forward(edge, false);
+  EXPECT_TRUE(same_bits(out.data()[0], 0.0f));
+  EXPECT_TRUE(same_bits(out.data()[1], 0.0f));
+}
+
+TEST(PropertyElementwise, TensorOpsMatchReferenceFormulasBitExact) {
+  Rng rng(11014);
+  for (const simd::Level level : testable_levels()) {
+    simd::ScopedForcedLevel force(level);
+    for (const std::int64_t n : ragged_lengths()) {
+      const std::string tag = std::string(simd::level_name(level)) +
+                              " n=" + std::to_string(n);
+      const Tensor a = awkward_values(Shape{n}, rng);
+      const Tensor b = awkward_values(Shape{n}, rng);
+      const float* ap = a.data();
+      const float* bp = b.data();
+      const float s = 0.37f;
+      expect_bits(add(a, b), [&](std::int64_t i) { return ap[i] + bp[i]; },
+                  "add " + tag);
+      expect_bits(sub(a, b), [&](std::int64_t i) { return ap[i] - bp[i]; },
+                  "sub " + tag);
+      expect_bits(mul(a, b), [&](std::int64_t i) { return ap[i] * bp[i]; },
+                  "mul " + tag);
+      expect_bits(scale(a, s), [&](std::int64_t i) { return ap[i] * s; },
+                  "scale " + tag);
+      expect_bits(sign(a),
+                  [&](std::int64_t i) { return ap[i] >= 0.0f ? 1.0f : -1.0f; },
+                  "sign " + tag);
+      Tensor c = a;
+      add_inplace(c, b);
+      expect_bits(c, [&](std::int64_t i) { return ap[i] + bp[i]; },
+                  "add_inplace " + tag);
+      c = a;
+      axpy_inplace(c, s, b);
+      expect_bits(c, [&](std::int64_t i) { return ap[i] + s * bp[i]; },
+                  "axpy_inplace " + tag);
+      c = a;
+      scale_inplace(c, s);
+      expect_bits(c, [&](std::int64_t i) { return ap[i] * s; },
+                  "scale_inplace " + tag);
+    }
+  }
+}
+
+// Reference max pooling: the window scan order and strict `>` of the
+// checked-index original, so NaN never wins and ties keep the first.
+Tensor ref_maxpool(const Tensor& x, std::int64_t k, std::int64_t s,
+                   std::vector<std::int64_t>* argmax) {
+  const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const std::int64_t oh = (h - k) / s + 1, ow = (w - k) / s + 1;
+  Tensor out{Shape{n, c, oh, ow}};
+  std::int64_t oi = 0;
+  for (std::int64_t p = 0; p < n * c; ++p) {
+    for (std::int64_t y = 0; y < oh; ++y) {
+      for (std::int64_t xx = 0; xx < ow; ++xx, ++oi) {
+        float best = -std::numeric_limits<float>::infinity();
+        std::int64_t best_idx = 0;
+        for (std::int64_t ky = 0; ky < k; ++ky) {
+          for (std::int64_t kx = 0; kx < k; ++kx) {
+            const std::int64_t idx = p * h * w + (y * s + ky) * w + xx * s + kx;
+            if (x.data()[idx] > best) {
+              best = x.data()[idx];
+              best_idx = idx;
+            }
+          }
+        }
+        out.data()[oi] = best;
+        argmax->push_back(best_idx);
+      }
+    }
+  }
+  return out;
+}
+
+TEST(PropertyElementwise, MaxPoolMatchesReferenceAndBatchEqualsSingle) {
+  Rng rng(11015);
+  struct Geom {
+    std::int64_t k, s, h, w;
+  };
+  for (const simd::Level level : testable_levels()) {
+    simd::ScopedForcedLevel force(level);
+    for (const Geom gm : {Geom{2, 2, 28, 28}, Geom{2, 2, 16, 16},
+                          Geom{3, 2, 15, 13}, Geom{3, 1, 7, 9},
+                          Geom{2, 2, 5, 3}, Geom{1, 1, 2, 17}}) {
+      const std::string tag = std::string(simd::level_name(level)) +
+                              " k=" + std::to_string(gm.k) +
+                              " s=" + std::to_string(gm.s) +
+                              " h=" + std::to_string(gm.h) +
+                              " w=" + std::to_string(gm.w);
+      const std::int64_t batch = 3, channels = 2;
+      const Tensor x = awkward_values(Shape{batch, channels, gm.h, gm.w}, rng);
+      std::vector<std::int64_t> want_idx;
+      const Tensor want = ref_maxpool(x, gm.k, gm.s, &want_idx);
+
+      nn::MaxPool2d pool(gm.k, gm.s);
+      const Tensor eval = pool.forward(x, false);
+      const Tensor train = pool.forward(x, true);
+      expect_bits(eval, [&](std::int64_t i) { return want.data()[i]; },
+                  "maxpool eval " + tag);
+      expect_bits(train, [&](std::int64_t i) { return want.data()[i]; },
+                  "maxpool train " + tag);
+
+      // Backward routes each gradient to the reference argmax.
+      const Tensor g = Tensor::randn(want.shape(), rng);
+      const Tensor gx = pool.backward(g);
+      Tensor want_gx{x.shape()};
+      for (std::size_t i = 0; i < want_idx.size(); ++i) {
+        want_gx.data()[want_idx[i]] += g.data()[i];
+      }
+      expect_bits(gx, [&](std::int64_t i) { return want_gx.data()[i]; },
+                  "maxpool backward " + tag);
+
+      for (std::int64_t r = 0; r < batch; ++r) {
+        const Tensor row = pool.forward(x.slice_outer(r, r + 1), false);
+        EXPECT_EQ(std::memcmp(row.data(), eval.slice_outer(r, r + 1).data(),
+                              sizeof(float) * static_cast<std::size_t>(
+                                                  row.numel())),
+                  0)
+            << "maxpool batch != single " << tag << " row " << r;
+      }
+    }
+  }
+}
+
+TEST(PropertyElementwise, BiasAddsMatchReferenceBitExact) {
+  Rng rng(11016);
+  for (const simd::Level level : testable_levels()) {
+    simd::ScopedForcedLevel force(level);
+    for (const std::int64_t out : {1, 5, 8, 13, 17}) {
+      const std::string tag = std::string(simd::level_name(level)) +
+                              " out=" + std::to_string(out);
+      const std::int64_t in = 11, n = 3;
+      const Tensor x = Tensor::randn(Shape{n, in}, rng);
+      const Tensor b = awkward_values(Shape{out}, rng);
+      const float* bp = b.data();
+
+      // nn::Linear: bias-free forward of the same weights, plus b.
+      Rng wa(out), wb(out);
+      nn::Linear with(in, out, wa, /*bias=*/true);
+      nn::Linear without(in, out, wb, /*bias=*/false);
+      with.params()[1]->value = b;
+      for (const bool prepared : {false, true}) {
+        if (prepared) {
+          with.prepare_inference();
+          without.prepare_inference();
+        }
+        const Tensor base = without.forward(x, false);
+        expect_bits(with.forward(x, false),
+                    [&](std::int64_t i) {
+                      return base.data()[i] + bp[i % out];
+                    },
+                    "linear bias " + tag);
+      }
+
+      // binary::xnor_linear and BinaryLinear: the scaled product rounds
+      // first, then the bias is added -- the bias-free output plus b.
+      const binary::BitMatrix bits =
+          binary::BitMatrix::pack(Tensor::randn(Shape{out, in}, rng));
+      const Tensor alpha = Tensor::rand(Shape{out}, rng, 0.1f, 1.0f);
+      const Tensor scaled = binary::xnor_linear(x, bits, alpha, nullptr);
+      expect_bits(binary::xnor_linear(x, bits, alpha, &b),
+                  [&](std::int64_t i) {
+                    return scaled.data()[i] + bp[i % out];
+                  },
+                  "xnor_linear bias " + tag);
+
+      Rng fa(out + 100), fb(out + 100);
+      binary::BinaryLinear fc_with(in, out, fa, /*bias=*/true);
+      binary::BinaryLinear fc_without(in, out, fb, /*bias=*/false);
+      fc_with.params()[1]->value = b;
+      const Tensor fc_base = fc_without.forward(x, false);
+      expect_bits(fc_with.forward(x, false),
+                  [&](std::int64_t i) {
+                    return fc_base.data()[i] + bp[i % out];
+                  },
+                  "binary linear bias " + tag);
     }
   }
 }

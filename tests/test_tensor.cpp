@@ -32,6 +32,21 @@ TEST(Tensor, ZeroInitialized) {
   for (std::int64_t i = 0; i < t.numel(); ++i) EXPECT_EQ(t[i], 0.0f);
 }
 
+TEST(Tensor, EmptyTensorHasNoElements) {
+  // numel() is the storage size: a default-constructed or moved-from
+  // tensor has rank 0 (shape product 1) but no storage, so it must report
+  // 0 elements and refuse every index, never read through a null buffer.
+  const Tensor empty;
+  EXPECT_EQ(empty.numel(), 0);
+  EXPECT_THROW(empty[0], Error);
+  Tensor source{Shape{2, 3}};
+  const Tensor dest = std::move(source);
+  EXPECT_EQ(dest.numel(), 6);
+  EXPECT_EQ(source.numel(), 0);  // NOLINT(bugprone-use-after-move)
+  // A rank-0 tensor built from its shape is a real one-element scalar.
+  EXPECT_EQ(Tensor{Shape{}}.numel(), 1);
+}
+
 TEST(Tensor, FullAndFill) {
   Tensor t = Tensor::full(Shape{5}, 2.5f);
   EXPECT_EQ(t[4], 2.5f);
@@ -113,6 +128,16 @@ TEST(Ops, Reductions) {
   EXPECT_NEAR(l2_norm(t), std::sqrt(30.0), 1e-12);
   EXPECT_EQ(max_value(t), 3.0f);
   EXPECT_EQ(argmax(t), 2);
+}
+
+TEST(Ops, ReductionsOfEmptyTensorThrow) {
+  const Tensor empty;
+  EXPECT_THROW(mean(empty), Error);
+  EXPECT_THROW(mean_abs(empty), Error);
+  EXPECT_THROW(max_value(empty), Error);
+  EXPECT_THROW(argmax(empty), Error);
+  EXPECT_EQ(sum(empty), 0.0);  // sums of nothing are defined
+  EXPECT_EQ(l2_norm(empty), 0.0);
 }
 
 TEST(Ops, SignConventionAtZero) {
