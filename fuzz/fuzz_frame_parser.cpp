@@ -1,14 +1,13 @@
 // Frame-parser harness: raw bytes -> decode_frame + every typed payload
-// parser + the streaming header paths the server/client actually use.
+// parser + the streaming header parser the server/client actually use.
 //
 // Oracles beyond "no crash":
 //   * decode_frame accepts  => encode_frame(decoded) reproduces the input
-//     byte-for-byte (the wire format is canonical: v3 iff model_id != 0,
-//     else v2 iff trace_id != 0, else v1).
+//     byte-for-byte (one fixed header; every field value is legal).
 //   * a typed payload parses => rebuilding the payload from the parsed
 //     value and re-parsing yields the same value (make/parse agree).
-//   * the streaming header parsers agree with whole-buffer decode_frame
-//     about version, type, model id, trace id and payload size.
+//   * decode_frame accepts  => parse_frame_header agrees with it about
+//     type, model id, trace id and payload size.
 #include <cstring>
 
 #include "edge/protocol.h"
@@ -71,49 +70,28 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   if (size > (1u << 20)) return 0;  // bound per-exec cost
   const std::vector<std::uint8_t> bytes(data, data + size);
+  edge::Frame f;
   try {
-    const edge::Frame f = edge::decode_frame(bytes);
-    FUZZ_ASSERT(edge::encode_frame(f) == bytes,
-                "decode_frame accepted bytes encode_frame cannot reproduce");
-    check_typed_payload(f);
+    f = edge::decode_frame(bytes);
   } catch (const Error&) {
-    // expected rejection path for malformed frames
+    return 0;  // expected rejection path for malformed frames
   }
+  FUZZ_ASSERT(edge::encode_frame(f) == bytes,
+              "decode_frame accepted bytes encode_frame cannot reproduce");
 
-  // Streaming header paths (the server reads the 9-byte common prefix,
-  // then widens for v2/v3). They must agree with whole-buffer decoding.
-  if (size >= edge::kFrameHeaderBytes) {
-    try {
-      const int version = edge::frame_header_version(data);
-      edge::MsgType type{};
-      std::uint32_t model_id = 0;
-      std::uint64_t trace_id = 0;
-      std::uint32_t payload_size = 0;
-      if (version == 1) {
-        payload_size = edge::parse_frame_header(data, &type);
-      } else if (version == 2 && size >= edge::kFrameHeaderBytesV2) {
-        payload_size = edge::parse_frame_header_v2(data, &type, &trace_id);
-      } else if (version == 3 && size >= edge::kFrameHeaderBytesV3) {
-        payload_size =
-            edge::parse_frame_header_v3(data, &type, &model_id, &trace_id);
-      } else {
-        return 0;  // not enough bytes for the widened header
-      }
-      try {
-        const edge::Frame f = edge::decode_frame(bytes);
-        FUZZ_ASSERT(f.type == type, "streaming header type disagrees");
-        FUZZ_ASSERT(f.model_id == model_id,
-                    "streaming header model id disagrees");
-        FUZZ_ASSERT(f.trace_id == trace_id,
-                    "streaming header trace id disagrees");
-        FUZZ_ASSERT(f.payload.size() == payload_size,
-                    "streaming header payload size disagrees");
-      } catch (const Error&) {
-        // whole-buffer decode may still reject (truncated payload etc.)
-      }
-    } catch (const Error&) {
-      // header-level rejection
-    }
-  }
+  // The streaming header parser (what recv_frame runs on the first
+  // kFrameHeaderBytes) must accept what decode_frame accepted, and agree
+  // with it field by field.
+  edge::Frame header;
+  const std::uint32_t payload_size = edge::parse_frame_header(data, &header);
+  FUZZ_ASSERT(f.type == header.type, "streaming header type disagrees");
+  FUZZ_ASSERT(f.model_id == header.model_id,
+              "streaming header model id disagrees");
+  FUZZ_ASSERT(f.trace_id == header.trace_id,
+              "streaming header trace id disagrees");
+  FUZZ_ASSERT(f.payload.size() == payload_size,
+              "streaming header payload size disagrees");
+
+  check_typed_payload(f);
   return 0;
 }

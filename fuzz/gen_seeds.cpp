@@ -71,24 +71,24 @@ void gen_frame_parser() {
        edge::encode_frame({edge::MsgType::kShutdown, {}}));
   emit("frame_parser", "seed-busy",
        edge::encode_frame({edge::MsgType::kBusy, edge::make_busy_reply(25)}));
-  emit("frame_parser", "seed-request-v1",
+  emit("frame_parser", "seed-request",
        edge::encode_frame(
            {edge::MsgType::kCompleteRequest,
             edge::make_complete_request(Tensor::randn(Shape{1, 4, 7, 7},
                                                       rng))}));
-  emit("frame_parser", "seed-request-v2",
+  emit("frame_parser", "seed-request-traced",
        edge::encode_frame(
            {edge::MsgType::kCompleteRequest,
             edge::make_complete_request(Tensor::randn(Shape{1, 2, 4, 4},
                                                       rng)),
             0x0123456789abcdefull}));
-  emit("frame_parser", "seed-request-v3",
+  emit("frame_parser", "seed-request-routed",
        edge::encode_frame(
            {edge::MsgType::kCompleteRequest,
             edge::make_complete_request(Tensor::randn(Shape{1, 2, 4, 4},
                                                       rng)),
             0x0123456789abcdefull, /*model_id=*/2}));
-  emit("frame_parser", "seed-request-v3-untraced",
+  emit("frame_parser", "seed-request-routed-untraced",
        edge::encode_frame(
            {edge::MsgType::kCompleteRequest,
             edge::make_complete_request(Tensor::randn(Shape{1, 1, 8, 8},
@@ -107,88 +107,38 @@ void gen_frame_parser() {
                              edge::make_complete_response(resp)}));
   }
 
-  constexpr std::uint32_t kFrameMagic = 0x4c435246;    // "LCRF"
-  constexpr std::uint32_t kFrameMagicV2 = 0x4c435632;  // "LCV2"
-  constexpr std::uint32_t kFrameMagicV3 = 0x4c435633;  // "LCV3"
+  constexpr std::uint32_t kFrameMagic = 0x4c435633;  // "LCV3"
   {  // inflated length field with no payload behind it
     ByteWriter w;
     w.write_u32(kFrameMagic);
     w.write_u8(0);
+    w.write_u32(2);
+    w.write_u64(1);
     w.write_u32(0xFFFFFFFFu);
-    emit("frame_parser", "crasher-v1-inflated-length", w.bytes());
+    emit("frame_parser", "crasher-inflated-length", w.bytes());
   }
-  emit("frame_parser", "crasher-truncated-header", {0x46, 0x52});
+  {  // header stops after the model id
+    ByteWriter w;
+    w.write_u32(kFrameMagic);
+    w.write_u8(0);
+    w.write_u32(2);
+    emit("frame_parser", "crasher-truncated-header", w.bytes());
+  }
   {  // one-past-the-end message type (kModelUnavailable + 1)
     ByteWriter w;
     w.write_u32(kFrameMagic);
     w.write_u8(7);
     w.write_u32(0);
-    emit("frame_parser", "crasher-v1-bad-type", w.bytes());
-  }
-  {  // v2 inflated length, trace id valid so only the size is bad
-    ByteWriter w;
-    w.write_u32(kFrameMagicV2);
-    w.write_u8(0);
-    w.write_u64(1);
-    w.write_u32(0xFFFFFFFFu);
-    emit("frame_parser", "crasher-v2-inflated-length", w.bytes());
-  }
-  {  // v2 truncated inside the widened header
-    ByteWriter w;
-    w.write_u32(kFrameMagicV2);
-    w.write_u8(0);
-    w.write_u32(7);  // only 4 of the 8 trace-id bytes present
-    emit("frame_parser", "crasher-v2-truncated-header", w.bytes());
-  }
-  {  // v2 with the reserved zero trace id ("untraced" must use v1)
-    ByteWriter w;
-    w.write_u32(kFrameMagicV2);
-    w.write_u8(0);
     w.write_u64(0);
     w.write_u32(0);
-    emit("frame_parser", "crasher-v2-zero-trace-id", w.bytes());
+    emit("frame_parser", "crasher-bad-type", w.bytes());
   }
-  {  // v2 with an invalid message type
+  {  // a ping in the retired 9-byte "LCRF" header: old magics are rejected
     ByteWriter w;
-    w.write_u32(kFrameMagicV2);
-    w.write_u8(200);
-    w.write_u64(1);
+    w.write_u32(0x4c435246);
+    w.write_u8(0);
     w.write_u32(0);
-    emit("frame_parser", "crasher-v2-bad-type", w.bytes());
-  }
-  {  // v3 with the reserved zero model id (canonical form is v1/v2)
-    ByteWriter w;
-    w.write_u32(kFrameMagicV3);
-    w.write_u8(0);
-    w.write_u32(0);  // model id
-    w.write_u64(1);  // trace id
-    w.write_u32(0);  // payload size
-    emit("frame_parser", "crasher-v3-zero-model-id", w.bytes());
-  }
-  {  // v3 truncated inside the widened header
-    ByteWriter w;
-    w.write_u32(kFrameMagicV3);
-    w.write_u8(0);
-    w.write_u32(2);  // model id, then the header just stops
-    emit("frame_parser", "crasher-v3-truncated-header", w.bytes());
-  }
-  {  // v3 with an invalid message type
-    ByteWriter w;
-    w.write_u32(kFrameMagicV3);
-    w.write_u8(200);
-    w.write_u32(2);
-    w.write_u64(1);
-    w.write_u32(0);
-    emit("frame_parser", "crasher-v3-bad-type", w.bytes());
-  }
-  {  // v3 inflated length field with no payload behind it
-    ByteWriter w;
-    w.write_u32(kFrameMagicV3);
-    w.write_u8(0);
-    w.write_u32(2);
-    w.write_u64(1);
-    w.write_u32(0xFFFFFFFFu);
-    emit("frame_parser", "crasher-v3-inflated-length", w.bytes());
+    emit("frame_parser", "crasher-old-lcrf-ping", w.bytes());
   }
   // Busy-payload crashers (used to call parse_busy_reply directly in the
   // inline corpus): wrapped as whole kBusy frames so the frame harness
@@ -387,8 +337,8 @@ void gen_batcher() {
   emit("batcher", "seed-send-only", {0, 1});  // request, reply abandoned
   {
     // client 0: send a zero tensor to the default model (selector 0,
-    // shape 0 = {1,2,4,4}, 32 one-byte zero floats, trace id 9 = v2
-    // framing), recv the reply, then ping.
+    // shape 0 = {1,2,4,4}, 32 one-byte zero floats, trace id 9), recv
+    // the reply, then ping.
     Bytes script{0, 1, 0, 0};
     script.insert(script.end(), 32, 0);  // the 32 floats
     script.push_back(9);                 // trace id
@@ -426,7 +376,7 @@ void gen_batcher() {
     Bytes script{
         0, 1, 2, 0};                     // c0: send to alt model, shape 0
     script.insert(script.end(), 32, 0);  // floats
-    script.push_back(0);                 // trace id (v3 via model id)
+    script.push_back(0);                 // trace id
     script.insert(script.end(), {
         2, 6, 0,        // swap: install next alt version
         0, 2,           // c0: recv (old snapshot answered it)

@@ -1,5 +1,7 @@
 #include "baselines/lcrs_approach.h"
 
+#include "tensor/serialize.h"
+
 namespace lcrs::baselines {
 
 std::int64_t LcrsModel::browser_model_bytes() const {
@@ -20,7 +22,7 @@ double browser_forward_ms(const LcrsModel& m, const sim::CostModel& cost) {
 
 double collaborate_extra_ms(const LcrsModel& m, const sim::CostModel& cost,
                             const sim::Scenario& scenario, double* comm_out) {
-  const std::int64_t upload_bytes = 8 + 8 * 4 + 4 * m.shared_out_elems;
+  const std::int64_t upload_bytes = feature_map_wire_bytes(m.shared_out_elems);
   const double up = cost.network().upload_ms(upload_bytes);
   const double down = cost.network().download_ms(scenario.result_bytes);
   const double edge = cost.edge_compute_ms(m.rest, 0, m.rest.size());
@@ -51,7 +53,8 @@ ApproachCost evaluate_lcrs(const LcrsModel& model, const sim::CostModel& cost,
   c.compute_ms += miss * (collab_total - collab_comm);
   c.total_ms = c.comm_ms + c.compute_ms;
 
-  const std::int64_t upload_bytes = 8 + 8 * 4 + 4 * model.shared_out_elems;
+  const std::int64_t upload_bytes =
+      feature_map_wire_bytes(model.shared_out_elems);
   const double up = cost.network().upload_ms(upload_bytes);
   const double down = cost.network().download_ms(scenario.result_bytes);
   c.device_energy_mj = cost.energy().compute_mj(browser_ms) +

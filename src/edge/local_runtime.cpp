@@ -3,6 +3,7 @@
 #include "common/obs/metric_names.h"
 #include "common/obs/metrics.h"
 #include "models/accounting.h"
+#include "tensor/serialize.h"
 
 namespace lcrs::edge {
 
@@ -24,7 +25,7 @@ LocalRuntime::LocalRuntime(core::CompositeNetwork& net,
       cost_.browser_compute_ms(shared_prof, 0, shared_prof.size()) +
       cost_.browser_compute_ms(branch_prof, 0, branch_prof.size());
   edge_rest_ms_ = cost_.edge_compute_ms(rest_prof, 0, rest_prof.size());
-  upload_bytes_ = 8 + 8 * 4 + 4 * shared_shape.numel();
+  upload_bytes_ = feature_map_wire_bytes(shared_shape.numel());
 
   browser_model_bytes_ = 8;
   for (const auto& l : shared_prof) browser_model_bytes_ += l.param_bytes;

@@ -1,7 +1,7 @@
 // Multi-model serving registry for the edge server.
 //
-// The registry maps a protocol-level model id (v3 frame header,
-// edge/protocol.h) to an immutable *servable model snapshot*: a prepared
+// The registry maps a protocol-level model id (the frame header's
+// model_id, edge/protocol.h) to an immutable *servable model snapshot*: a prepared
 // batch-completion function plus whatever state keeps it valid (for real
 // models, the CompositeNetwork the closure is bound to). Snapshots are
 // held behind shared_ptr<const ServableModel>:

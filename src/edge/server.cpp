@@ -16,14 +16,6 @@
 
 namespace lcrs::edge {
 
-CompletionFn serialize_completion(CompletionFn inner) {
-  auto mutex = std::make_shared<Mutex>("edge.server.completion");
-  return [mutex, inner = std::move(inner)](const Tensor& shared) {
-    MutexLock lock(*mutex);
-    return inner(shared);
-  };
-}
-
 BatchCompletionFn per_sample_batch(CompletionFn per_sample) {
   LCRS_CHECK(per_sample != nullptr, "per_sample_batch needs a completion fn");
   return [per_sample = std::move(per_sample)](const Tensor& batch) {
@@ -309,6 +301,9 @@ void EdgeServer::accept_loop() {
         connection_errors_.add();
         LCRS_WARN("edge connection error: " << e.what());
       }
+      // Close our side now: the fd itself is released only when the
+      // record is collected, at the next accept or at stop().
+      conn_ptr->shutdown_now();
       active_connections_.add(-1.0);
       done->store(true);
     });
@@ -341,10 +336,9 @@ void EdgeServer::serve_connection(Socket& conn) {
         conn.send_frame(Frame{MsgType::kPong, {}});
         break;
       case MsgType::kCompleteRequest: {
-        // The trace id minted by BrowserClient rides the v2/v3 frame
-        // header; tagging the server-side spans with it (and echoing it
-        // in the response) is what stitches both halves into one
-        // timeline.
+        // The trace id minted by BrowserClient rides the frame header;
+        // tagging the server-side spans with it (and echoing it in the
+        // response) is what stitches both halves into one timeline.
         const std::uint64_t trace_id = frame->trace_id;
         // Resolve the model snapshot before deserializing: an
         // unroutable request should be rejected for the price of a map

@@ -2,8 +2,8 @@
 //
 // Throughput-oriented serving path. Connection threads only do protocol
 // I/O: every kCompleteRequest resolves its model snapshot from the
-// ModelRegistry (v3 frame header model id; v1/v2 frames route to model
-// 0) and is enqueued on that model's bounded queue, and a shared pool of
+// ModelRegistry by the frame header's model id (0 = the default model)
+// and is enqueued on that model's bounded queue, and a shared pool of
 // worker threads drains the queues round-robin, coalescing same-model
 // requests *across connections* into one batched main-branch forward
 // (im2col+GEMM throughput grows strongly with batch size, which is
@@ -63,10 +63,6 @@ namespace lcrs::edge {
 
 // CompletionFn / BatchCompletionFn live in edge/model_registry.h (a
 // ServableModel snapshot carries the batched completion).
-
-/// Wraps a non-thread-safe completion in a mutex (layer forward() caches
-/// are not concurrency-safe in train mode).
-CompletionFn serialize_completion(CompletionFn inner);
 
 /// Adapts a per-sample completion to the batch interface by slicing the
 /// batch and completing rows one at a time. Correct for any completion
@@ -144,8 +140,8 @@ class EdgeServer {
              ServerOptions options = ServerOptions());
   EdgeServer(std::uint16_t port, BatchCompletionFn complete,
              ServerOptions options = ServerOptions());
-  /// Multi-model serving: requests route through `registry` by the v3
-  /// frame header's model id (v1/v2 frames route to model 0). The
+  /// Multi-model serving: requests route through `registry` by the
+  /// frame header's model id (0 = the default model). The
   /// registry is shared so an operator thread can hot-swap models while
   /// the server runs.
   EdgeServer(std::uint16_t port, std::shared_ptr<ModelRegistry> registry,

@@ -43,6 +43,11 @@ void wait_ready(int fd, short events, const Deadline& deadline,
 }
 
 std::atomic<FaultInjector*> g_active_injector{nullptr};
+
+/// Largest payload recv_frame accepts.
+constexpr std::size_t kMaxFramePayload = std::size_t{64} << 20;
+/// Payload bytes recv_frame allocates before any of them has arrived.
+constexpr std::size_t kFirstPayloadChunk = std::size_t{1} << 20;
 }  // namespace
 
 Deadline Deadline::after_ms(double ms) {
@@ -196,33 +201,23 @@ void Socket::send_frame(const Frame& frame, const Deadline& deadline) const {
 }
 
 std::optional<Frame> Socket::recv_frame(const Deadline& deadline) const {
-  // All header versions share a 9-byte prefix shape; read that, look at
-  // the magic, then pull in the version's extension bytes if present.
-  std::uint8_t header[kFrameHeaderBytesV3];
+  std::uint8_t header[kFrameHeaderBytes];
   if (!recv_all(header, kFrameHeaderBytes, deadline)) return std::nullopt;
   Frame f;
-  std::uint32_t payload_size = 0;
-  const int version = frame_header_version(header);
-  if (version == 1) {
-    payload_size = parse_frame_header(header, &f.type);
-  } else {
-    const std::size_t full =
-        version == 2 ? kFrameHeaderBytesV2 : kFrameHeaderBytesV3;
-    if (!recv_all(header + kFrameHeaderBytes, full - kFrameHeaderBytes,
-                  deadline)) {
-      throw IoError("connection closed mid-header");
+  const std::uint32_t payload_size = parse_frame_header(header, &f);
+  if (payload_size > kMaxFramePayload) throw ParseError("frame too large");
+  // The buffer grows with the bytes that have arrived, not with the
+  // header's claim: a peer that announces 64 MiB and stalls pins at most
+  // kFirstPayloadChunk. Smaller frames take one allocation and one read.
+  std::size_t got = 0;
+  while (got < payload_size) {
+    const std::size_t want = std::min<std::size_t>(
+        payload_size, std::max(kFirstPayloadChunk, 2 * got));
+    f.payload.resize(want);
+    if (!recv_all(f.payload.data() + got, want - got, deadline)) {
+      throw IoError("connection closed mid-frame");
     }
-    payload_size =
-        version == 2
-            ? parse_frame_header_v2(header, &f.type, &f.trace_id)
-            : parse_frame_header_v3(header, &f.type, &f.model_id,
-                                    &f.trace_id);
-  }
-  if (payload_size > (64u << 20)) throw ParseError("frame too large");
-  f.payload.resize(payload_size);
-  if (payload_size > 0 &&
-      !recv_all(f.payload.data(), payload_size, deadline)) {
-    throw IoError("connection closed mid-frame");
+    got = want;
   }
   return f;
 }

@@ -4,7 +4,13 @@ namespace lcrs {
 
 namespace {
 constexpr std::uint32_t kTensorMagic = 0x4c435254;  // "LCRT"
+
+/// What write_tensor emits: u32 magic + u32 rank, one i64 per dim, then
+/// the float32 payload.
+std::int64_t wire_bytes(std::int64_t rank, std::int64_t numel) {
+  return 8 + 8 * rank + 4 * numel;
 }
+}  // namespace
 
 void write_tensor(ByteWriter& w, const Tensor& t) {
   w.write_u32(kTensorMagic);
@@ -37,7 +43,11 @@ Tensor read_tensor(ByteReader& r) {
 }
 
 std::int64_t tensor_wire_bytes(const Shape& shape) {
-  return 8 + 8 * shape.rank() + 4 * shape.numel();
+  return wire_bytes(shape.rank(), shape.numel());
+}
+
+std::int64_t feature_map_wire_bytes(std::int64_t numel) {
+  return wire_bytes(4, numel);
 }
 
 }  // namespace lcrs

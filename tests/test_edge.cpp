@@ -3,11 +3,15 @@
 // the in-process Algorithm 2, and the simulated LocalRuntime.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <fstream>
 #include <future>
 #include <set>
 #include <thread>
 
+#include "common/bytes.h"
 #include "common/obs/metric_names.h"
 #include "common/obs/metrics.h"
 #include "common/obs/trace.h"
@@ -25,15 +29,6 @@
 namespace lcrs::edge {
 namespace {
 
-TEST(Protocol, FrameRoundTrip) {
-  Frame f;
-  f.type = MsgType::kCompleteRequest;
-  f.payload = {1, 2, 3, 4, 5};
-  const Frame back = decode_frame(encode_frame(f));
-  EXPECT_EQ(back.type, f.type);
-  EXPECT_EQ(back.payload, f.payload);
-}
-
 TEST(Protocol, EmptyPayloadFrames) {
   const Frame back = decode_frame(encode_frame(Frame{MsgType::kPing, {}}));
   EXPECT_EQ(back.type, MsgType::kPing);
@@ -50,138 +45,52 @@ TEST(Protocol, BadMagicAndTypeRejected) {
   EXPECT_THROW(decode_frame(bytes2), ParseError);
 }
 
-TEST(Protocol, TracedFrameRoundTripsV2) {
-  Frame f;
-  f.type = MsgType::kCompleteRequest;
-  f.payload = {7, 8, 9};
-  f.trace_id = 0xdeadbeefcafe0001ull;
-  const auto bytes = encode_frame(f);
-  EXPECT_EQ(bytes.size(), kFrameHeaderBytesV2 + f.payload.size());
-  const Frame back = decode_frame(bytes);
-  EXPECT_EQ(back.type, f.type);
-  EXPECT_EQ(back.payload, f.payload);
-  EXPECT_EQ(back.trace_id, f.trace_id);
-}
-
-TEST(Protocol, UntracedFrameStaysByteIdenticalV1) {
-  // trace_id == 0 must encode to the exact v1 layout: old peers keep
-  // decoding frames from new senders.
-  Frame f;
-  f.type = MsgType::kPing;
-  f.payload = {1, 2};
-  const auto bytes = encode_frame(f);
-  EXPECT_EQ(bytes.size(), kFrameHeaderBytes + f.payload.size());
-  const Frame back = decode_frame(bytes);
-  EXPECT_EQ(back.trace_id, 0u);
-  EXPECT_EQ(back.payload, f.payload);
-}
-
-TEST(Protocol, HeaderVersionDetection) {
-  const auto v1 = encode_frame(Frame{MsgType::kPing, {}});
-  const auto v2 = encode_frame(Frame{MsgType::kPing, {}, 42});
-  const auto v3 = encode_frame(Frame{MsgType::kPing, {}, 42, 7});
-  EXPECT_EQ(frame_header_version(v1.data()), 1);
-  EXPECT_EQ(frame_header_version(v2.data()), 2);
-  EXPECT_EQ(frame_header_version(v3.data()), 3);
-  auto junk = v1;
-  junk[0] ^= 0xFF;
-  EXPECT_THROW(frame_header_version(junk.data()), ParseError);
-}
-
-TEST(Protocol, V2ZeroTraceIdRejected) {
-  // A v2 header exists *because* the frame is traced; zero would alias
-  // "untraced" and break the v1/v2 dispatch invariant.
-  auto bytes = encode_frame(Frame{MsgType::kPong, {5}, 99});
-  for (int i = 0; i < 8; ++i) bytes[5 + i] = 0;  // zero the trace id field
-  EXPECT_THROW(decode_frame(bytes), ParseError);
-}
-
-TEST(Protocol, V1V2GoldenBytesUnchanged) {
-  // Frozen wire bytes from before the v3 header existed: adding the
-  // model id must not perturb a single v1/v2 byte in either direction.
-  const std::vector<std::uint8_t> golden_v1 = {
-      0x46, 0x52, 0x43, 0x4c,  // "LCRF" little-endian
-      0x00,                    // kPing
-      0x00, 0x00, 0x00, 0x00,  // payload size 0
-  };
-  EXPECT_EQ(encode_frame(Frame{MsgType::kPing, {}}), golden_v1);
-  const Frame v1 = decode_frame(golden_v1);
-  EXPECT_EQ(v1.type, MsgType::kPing);
-  EXPECT_EQ(v1.trace_id, 0u);
-  EXPECT_EQ(v1.model_id, 0u);
-
-  const std::vector<std::uint8_t> golden_v2 = {
-      0x32, 0x56, 0x43, 0x4c,                          // "LCV2" LE
+TEST(Protocol, GoldenBytes) {
+  const std::vector<std::uint8_t> golden = {
+      0x33, 0x56, 0x43, 0x4c,                          // "LCV3" LE
       0x01,                                            // kPong
+      0x0c, 0x00, 0x00, 0x00,                          // model id 12
       0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // trace id LE
       0x01, 0x00, 0x00, 0x00,                          // payload size 1
       0x09,                                            // payload
   };
-  EXPECT_EQ(encode_frame(Frame{MsgType::kPong, {9}, 0x0102030405060708ull}),
-            golden_v2);
-  const Frame v2 = decode_frame(golden_v2);
-  EXPECT_EQ(v2.type, MsgType::kPong);
-  EXPECT_EQ(v2.trace_id, 0x0102030405060708ull);
-  EXPECT_EQ(v2.model_id, 0u);
+  EXPECT_EQ(encode_frame(Frame{MsgType::kPong, {9}, 0x0102030405060708ull,
+                               12}),
+            golden);
+  const Frame back = decode_frame(golden);
+  EXPECT_EQ(back.type, MsgType::kPong);
+  EXPECT_EQ(back.payload, (std::vector<std::uint8_t>{9}));
+  EXPECT_EQ(back.trace_id, 0x0102030405060708ull);
+  EXPECT_EQ(back.model_id, 12u);
+
+  Frame header;
+  EXPECT_EQ(parse_frame_header(golden.data(), &header), 1u);
+  EXPECT_EQ(header.type, back.type);
+  EXPECT_EQ(header.trace_id, back.trace_id);
+  EXPECT_EQ(header.model_id, back.model_id);
 }
 
-TEST(Protocol, TaggedFrameRoundTripsV3) {
-  Frame f;
-  f.type = MsgType::kCompleteRequest;
-  f.payload = {7, 8, 9};
-  f.trace_id = 0xdeadbeefcafe0001ull;
-  f.model_id = 12;
-  const auto bytes = encode_frame(f);
-  EXPECT_EQ(bytes.size(), kFrameHeaderBytesV3 + f.payload.size());
-  const Frame back = decode_frame(bytes);
-  EXPECT_EQ(back.type, f.type);
-  EXPECT_EQ(back.payload, f.payload);
-  EXPECT_EQ(back.trace_id, f.trace_id);
-  EXPECT_EQ(back.model_id, f.model_id);
+TEST(Protocol, EveryTraceAndModelCombinationRoundTrips) {
+  // Zero trace id (untraced) and zero model id (default model) are
+  // ordinary field values: same header, same size, byte-exact re-encode.
+  for (const std::uint64_t trace_id :
+       {std::uint64_t{0}, std::uint64_t{0xdeadbeefcafe}}) {
+    for (const std::uint32_t model_id : {0u, 7u}) {
+      const Frame f{MsgType::kCompleteRequest, {7, 8, 9}, trace_id, model_id};
+      const auto bytes = encode_frame(f);
+      EXPECT_EQ(bytes.size(), kFrameHeaderBytes + f.payload.size());
+      const Frame back = decode_frame(bytes);
+      EXPECT_EQ(back.type, f.type);
+      EXPECT_EQ(back.payload, f.payload);
+      EXPECT_EQ(back.trace_id, trace_id);
+      EXPECT_EQ(back.model_id, model_id);
+      EXPECT_EQ(encode_frame(back), bytes);
+    }
+  }
 }
 
-TEST(Protocol, TaggedUntracedFrameStillUsesV3) {
-  // A model id needs the wide header even when untraced; the reserved
-  // zero trace id is legal in v3 (only v2 forbids it).
-  Frame f;
-  f.type = MsgType::kCompleteRequest;
-  f.payload = {1};
-  f.model_id = 3;
-  const auto bytes = encode_frame(f);
-  EXPECT_EQ(frame_header_version(bytes.data()), 3);
-  const Frame back = decode_frame(bytes);
-  EXPECT_EQ(back.model_id, 3u);
-  EXPECT_EQ(back.trace_id, 0u);
-}
-
-TEST(Protocol, DefaultModelEncodesByteIdenticalToV1V2) {
-  // model_id == 0 routes to the default model and must never widen the
-  // header: v2 peers see bit-for-bit what they saw before this header
-  // version existed.
-  Frame traced;
-  traced.type = MsgType::kCompleteResponse;
-  traced.payload = {4, 5};
-  traced.trace_id = 77;
-  const auto with_field = encode_frame(traced);
-  EXPECT_EQ(frame_header_version(with_field.data()), 2);
-  EXPECT_EQ(with_field.size(), kFrameHeaderBytesV2 + traced.payload.size());
-
-  Frame plain;
-  plain.type = MsgType::kPing;
-  plain.payload = {};
-  EXPECT_EQ(frame_header_version(encode_frame(plain).data()), 1);
-}
-
-TEST(Protocol, V3ZeroModelIdRejected) {
-  // A v3 header exists *because* the frame is model-tagged; zero would
-  // alias the default route and break encode/decode canonicality.
-  auto bytes = encode_frame(Frame{MsgType::kPong, {5}, 99, 6});
-  for (int i = 0; i < 4; ++i) bytes[5 + i] = 0;  // zero the model id field
-  EXPECT_THROW(decode_frame(bytes), ParseError);
-}
-
-TEST(Protocol, V3TruncatedHeaderRejected) {
-  const auto bytes = encode_frame(Frame{MsgType::kPing, {}, 0, 6});
+TEST(Protocol, TruncatedFrameRejected) {
+  const auto bytes = encode_frame(Frame{MsgType::kPing, {1, 2}, 0, 6});
   for (std::size_t n = 0; n < bytes.size(); ++n) {
     EXPECT_THROW(
         decode_frame({bytes.begin(),
@@ -264,6 +173,31 @@ TEST(Tcp, CleanEofReturnsNullopt) {
   Socket client = connect_local(listener.port());
   server.join();
   EXPECT_FALSE(client.recv_frame().has_value());
+}
+
+TEST(Tcp, HeaderArrivingOneByteAtATime) {
+  const Frame sent{MsgType::kCompleteRequest, {1, 2, 3, 4}, 0xabcdefull, 9};
+  const auto bytes = encode_frame(sent);
+  Listener listener(0);
+  std::thread sender([&] {
+    Socket conn = listener.accept_one();
+    // One send per header byte, spaced so each lands as its own segment;
+    // the payload follows in one piece.
+    for (std::size_t i = 0; i < kFrameHeaderBytes; ++i) {
+      conn.send_all(&bytes[i], 1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    conn.send_all(bytes.data() + kFrameHeaderBytes,
+                  bytes.size() - kFrameHeaderBytes);
+  });
+  Socket client = connect_local(listener.port());
+  const auto got = client.recv_frame(Deadline::after_ms(5000.0));
+  sender.join();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->type, sent.type);
+  EXPECT_EQ(got->payload, sent.payload);
+  EXPECT_EQ(got->trace_id, sent.trace_id);
+  EXPECT_EQ(got->model_id, sent.model_id);
 }
 
 TEST(Tcp, ConnectToDeadPortThrows) {
@@ -576,46 +510,6 @@ TEST(EdgeServer, ServesConcurrentClients) {
   }
   EXPECT_EQ(server.requests_served(), kClients * kRequestsEach);
   EXPECT_EQ(server.connections_accepted(), kClients);
-}
-
-TEST(EdgeServer, SerializeCompletionGuardsSharedState) {
-  int concurrent = 0;
-  int max_concurrent = 0;
-  lcrs::Mutex probe_mutex{"test.edge.probe"};
-  CompletionFn raw = [&](const Tensor&) {
-    {
-      lcrs::MutexLock lock(probe_mutex);
-      ++concurrent;
-      max_concurrent = std::max(max_concurrent, concurrent);
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    {
-      lcrs::MutexLock lock(probe_mutex);
-      --concurrent;
-    }
-    CompleteResponse r;
-    r.label = 1;
-    r.probabilities = Tensor::ones(Shape{1, 2});
-    return r;
-  };
-  EdgeServer server(0, serialize_completion(std::move(raw)));
-
-  std::vector<std::thread> clients;
-  for (int c = 0; c < 3; ++c) {
-    clients.emplace_back([&] {
-      Socket conn = connect_local(server.port());
-      conn.send_frame(Frame{MsgType::kCompleteRequest,
-                            make_complete_request(Tensor{Shape{1, 2}})});
-      (void)conn.recv_frame();
-    });
-  }
-  for (auto& t : clients) t.join();
-  EXPECT_EQ(max_concurrent, 1);  // serialized despite concurrent clients
-  // The served counter increments after the reply is written; poll.
-  for (int i = 0; i < 200 && server.requests_served() < 3; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(server.requests_served(), 3);
 }
 
 TEST(LocalRuntime, TimelineReflectsExitDecision) {
@@ -1243,6 +1137,133 @@ TEST(LocalRuntime, AmortizedLoadScalesWithSession) {
                  Shape{1, 28, 28}, long_session);
   EXPECT_GT(a.amortized_load_ms(), b.amortized_load_ms());
   EXPECT_EQ(a.browser_model_bytes(), b.browser_model_bytes());
+}
+
+/// Resident set size of this process, from /proc/self/statm.
+std::int64_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::int64_t pages = 0;
+  statm >> pages >> pages;  // total size, then resident
+  return pages * ::sysconf(_SC_PAGESIZE);
+}
+
+/// Classifies `n` samples through `client` (tau = 0, so every one goes to
+/// the edge) and counts answers that differ from the main branch applied
+/// to the same browser-side conv1 map.
+int edge_mismatches(BrowserClient& client, const webinfer::Engine& browser,
+                    core::CompositeNetwork& net, Rng& rng, int n) {
+  int mismatches = 0;
+  for (int i = 0; i < n; ++i) {
+    const Tensor x = Tensor::randn(Shape{1, 1, 28, 28}, rng);
+    const ClientResult r = client.classify(x);
+    const Tensor expected = softmax_rows(
+        net.forward_main_from_shared(browser.forward_shared(x)));
+    if (r.exit_point != core::ExitPoint::kMainBranch ||
+        r.label != argmax(expected) ||
+        max_abs_diff(r.probabilities, expected) != 0.0f) {
+      ++mismatches;
+    }
+  }
+  return mismatches;
+}
+
+TEST(EdgeServer, OldGenerationHeaderEndsOnlyThatConnection) {
+  Rng rng(70);
+  core::CompositeNetwork net = make_net(rng);
+  const webinfer::WebModel browser_model =
+      webinfer::export_browser_model(net, 1, 28, 28);
+  const webinfer::Engine browser{browser_model};
+  EdgeServer server(0, completion_for(net));
+  BrowserClient client(webinfer::Engine{browser_model}, core::ExitPolicy{0.0},
+                       server.port());
+
+  int mismatches = -1;
+  std::thread well_behaved([&] {
+    Rng crng(71);
+    mismatches = edge_mismatches(client, browser, net, crng, 20);
+  });
+
+  // A ping in the retired 9-byte "LCRF" header. Its 12-byte payload
+  // fills out the 21 bytes the server reads as one header, so the server
+  // sees the old magic instead of waiting for more header bytes.
+  ByteWriter w;
+  w.write_u32(0x4c435246);  // "LCRF"
+  w.write_u8(static_cast<std::uint8_t>(MsgType::kPing));
+  w.write_u32(12);
+  for (int i = 0; i < 12; ++i) w.write_u8(0);
+  Socket old_peer = connect_local(server.port());
+  old_peer.send_all(w.bytes().data(), w.bytes().size());
+  // The server hangs up without answering.
+  bool closed = false;
+  try {
+    std::uint8_t byte = 0;
+    closed = old_peer.recv_some(&byte, 1, Deadline::after_ms(5000.0)) == 0;
+  } catch (const TimeoutError&) {
+    // still open: `closed` stays false
+  } catch (const IoError&) {
+    closed = true;  // reset instead of FIN
+  }
+  EXPECT_TRUE(closed);
+  well_behaved.join();
+
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_EQ(client.fallbacks(), 0);
+  for (int i = 0; i < 200 && server.stats().connection_errors < 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(server.stats().connection_errors, 1);
+  EXPECT_EQ(server.connections_accepted(), 2);
+}
+
+TEST(EdgeServer, StalledOversizedLengthClaimsDoNotPinMemory) {
+  Rng rng(72);
+  core::CompositeNetwork net = make_net(rng);
+  const webinfer::WebModel browser_model =
+      webinfer::export_browser_model(net, 1, 28, 28);
+  const webinfer::Engine browser{browser_model};
+  auto server = std::make_unique<EdgeServer>(0, completion_for(net));
+  BrowserClient client(webinfer::Engine{browser_model}, core::ExitPolicy{0.0},
+                       server->port());
+  EXPECT_EQ(edge_mismatches(client, browser, net, rng, 2), 0);  // warm up
+  const std::int64_t rss_before = resident_bytes();
+
+  // Each stalled peer claims the largest payload the server accepts,
+  // sends 16 bytes of it, and goes quiet.
+  constexpr std::uint32_t kClaim = 64u << 20;
+  auto bytes = encode_frame(Frame{MsgType::kCompleteRequest, {}});
+  for (std::size_t b = 0; b < 4; ++b) {  // the trailing u32 length, LE
+    bytes[kFrameHeaderBytes - 4 + b] =
+        static_cast<std::uint8_t>(kClaim >> (8 * b));
+  }
+  bytes.resize(kFrameHeaderBytes + 16, 0);
+  constexpr int kStalled = 8;
+  std::vector<Socket> stalled;
+  for (int i = 0; i < kStalled; ++i) {
+    stalled.push_back(connect_local(server->port()));
+    stalled.back().send_all(bytes.data(), bytes.size());
+  }
+  for (int i = 0; i < 2000 && server->connections_accepted() < kStalled + 1;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(server->connections_accepted(), kStalled + 1);
+
+  EXPECT_EQ(edge_mismatches(client, browser, net, rng, 4), 0);
+  // Give every stalled connection thread time to reach its payload read.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const std::int64_t grown = resident_bytes() - rss_before;
+  EXPECT_LT(grown, std::int64_t{64} << 20)
+      << kStalled << " stalled claims of " << kClaim << " bytes grew RSS by "
+      << grown << " bytes";
+
+  EdgeServer* raw = server.get();
+  const bool stopped = finishes_within([raw] { raw->stop(); }, 5000);
+  EXPECT_TRUE(stopped) << "stop() hung on stalled payload reads";
+  if (!stopped) {
+    (void)server.release();
+    return;
+  }
+  EXPECT_EQ(server->stats().connection_errors, kStalled);
 }
 
 }  // namespace

@@ -188,6 +188,19 @@ TEST(Serialize, RoundTrip) {
   EXPECT_EQ(max_abs_diff(back, t), 0.0f);
 }
 
+TEST(Serialize, FeatureMapWireBytesMatchWriteTensor) {
+  Rng rng(4);
+  for (const Shape& shape :
+       {Shape{1, 1, 1, 1}, Shape{1, 6, 14, 14}, Shape{1, 64, 27, 27}}) {
+    const Tensor t = Tensor::randn(shape, rng);
+    ByteWriter w;
+    write_tensor(w, t);
+    EXPECT_EQ(static_cast<std::int64_t>(w.size()),
+              feature_map_wire_bytes(t.numel()))
+        << shape.to_string();
+  }
+}
+
 TEST(Serialize, BadMagicThrows) {
   ByteWriter w;
   w.write_u32(0x12345678);
