@@ -26,18 +26,15 @@ namespace {
 double measure_server_throughput(core::CompositeNetwork& net,
                                  bool full_model, int n_clients,
                                  int requests_each) {
-  edge::EdgeServer server(0, [&](const Tensor& shared) {
+  edge::EdgeServer server(0, [&](const Tensor& batch) {
     // Edge-only is modeled by also charging the conv1 stage at the edge.
-    Tensor features = shared;
+    Tensor features = batch;
     if (full_model) {
-      // shared here carries the raw input instead.
-      features = net.shared_stage().forward(shared, false);
+      // The batch here carries raw inputs instead.
+      features = net.shared_stage().forward(batch, false);
     }
-    const Tensor logits = net.forward_main_from_shared(features);
-    edge::CompleteResponse r;
-    r.probabilities = softmax_rows(logits);
-    r.label = argmax(r.probabilities);
-    return r;
+    return edge::responses_from_probabilities(
+        softmax_rows(net.forward_main_from_shared(features)));
   });
 
   Rng rng(9);

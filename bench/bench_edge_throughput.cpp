@@ -69,13 +69,11 @@ using namespace lcrs;
 namespace {
 
 /// One served workload bound to one network instance: how to build a
-/// client payload and how the edge completes it (per-sample for the
-/// direct configs, batched for the pooled ones; the two must be
-/// bit-identical per sample on the same network).
+/// client payload and how the edge completes a batch of them. Rows are
+/// independent, so the oracle completes each payload as a batch of one.
 struct Serving {
   std::function<Tensor(Rng&)> make_input;
-  edge::CompletionFn per_sample;
-  edge::BatchCompletionFn batched;
+  edge::BatchCompletionFn complete;
 };
 
 struct Workload {
@@ -91,7 +89,7 @@ Workload make_workload(const Serving& serving, int n_clients) {
     const Tensor payload = serving.make_input(rng);
     w.requests.push_back(edge::Frame{edge::MsgType::kCompleteRequest,
                                      edge::make_complete_request(payload)});
-    const edge::CompleteResponse oracle = serving.per_sample(payload);
+    const edge::CompleteResponse oracle = serving.complete(payload).front();
     w.expected_labels.push_back(oracle.label);
     w.expected.push_back(oracle.probabilities);
   }
@@ -108,10 +106,7 @@ struct CellResult {
 CellResult run_cell(const Serving& serving, const edge::ServerOptions& opts,
                     int n_clients, int requests_each,
                     bool scrape_during = false) {
-  auto server =
-      opts.direct_execution
-          ? std::make_unique<edge::EdgeServer>(0, serving.per_sample, opts)
-          : std::make_unique<edge::EdgeServer>(0, serving.batched, opts);
+  auto server = std::make_unique<edge::EdgeServer>(0, serving.complete, opts);
 
   // When asked, keep a live scraper on the ops plane for the whole
   // measurement window so the A/B prices serving *while being watched*,
@@ -196,27 +191,22 @@ CellResult run_cell_at_level(const Serving& serving,
   return run_cell(serving, opts, n_clients, requests_each);
 }
 
-edge::CompleteResponse probs_to_response(Tensor probs) {
-  edge::CompleteResponse r;
-  r.label = argmax(probs);
-  r.probabilities = std::move(probs);
-  return r;
-}
-
-Serving conv1_serving(core::CompositeNetwork& net, bool with_batched) {
+Serving conv1_serving(core::CompositeNetwork& net, bool packed) {
   Serving s;
   s.make_input = [&net](Rng& r) {
     return net.shared_stage().forward(Tensor::randn(Shape{1, 1, 28, 28}, r),
                                       false);
   };
-  s.per_sample = [&net](const Tensor& shared) {
-    return probs_to_response(
-        softmax_rows(net.forward_main_from_shared(shared)));
-  };
-  // main_branch_batch_completion() packs the net's Linear layers at
-  // construction; the pre-PR baseline must keep its unpacked kernels, so
-  // only build the batched fn for configs that actually dispatch batches.
-  if (with_batched) s.batched = edge::main_branch_batch_completion(net);
+  // main_branch_batch_completion() packs the net's main-rest weights; the
+  // pre-PR baseline must keep its unpacked training kernels.
+  if (packed) {
+    s.complete = edge::main_branch_batch_completion(net);
+  } else {
+    s.complete = [&net](const Tensor& batch) {
+      return edge::responses_from_probabilities(
+          softmax_rows(net.forward_main_from_shared(batch)));
+    };
+  }
   return s;
 }
 
@@ -227,21 +217,11 @@ Serving fc_serving(core::CompositeNetwork& net, std::size_t fc_split) {
         Tensor::randn(Shape{1, 1, 28, 28}, r), false);
     return net.main_rest().forward_prefix(shared, fc_split);
   };
-  s.per_sample = [&net, fc_split](const Tensor& acts) {
-    return probs_to_response(
-        softmax_rows(net.main_rest().forward_suffix(acts, fc_split)));
-  };
-  s.batched = [&net, fc_split](const Tensor& batch) {
+  s.complete = [&net, fc_split](const Tensor& batch) {
     // Linear and activation layers are row-independent, so the batched
     // suffix is bit-identical per sample to the solo path.
-    const Tensor probs =
-        softmax_rows(net.main_rest().forward_suffix(batch, fc_split));
-    std::vector<edge::CompleteResponse> out;
-    out.reserve(static_cast<std::size_t>(batch.dim(0)));
-    for (std::int64_t i = 0; i < batch.dim(0); ++i) {
-      out.push_back(probs_to_response(probs.slice_outer(i, i + 1)));
-    }
-    return out;
+    return edge::responses_from_probabilities(
+        softmax_rows(net.main_rest().forward_suffix(batch, fc_split)));
   };
   return s;
 }
@@ -311,8 +291,8 @@ int main(int argc, char** argv) {
     Serving packed_serving;
   };
   const Case cases[] = {
-      {"conv1 partition", conv1_serving(base, /*with_batched=*/false),
-       conv1_serving(packed, /*with_batched=*/true)},
+      {"conv1 partition", conv1_serving(base, /*packed=*/false),
+       conv1_serving(packed, /*packed=*/true)},
       {"fc partition", fc_serving(base, fc_split),
        fc_serving(packed, fc_split)},
   };
@@ -413,7 +393,7 @@ int main(int argc, char** argv) {
     edge::ServerOptions ops_off = ops_on;
     ops_on.ops_port = 0;  // ephemeral side port, flight recorder on
 
-    const Serving serving = conv1_serving(packed, /*with_batched=*/true);
+    const Serving serving = conv1_serving(packed, /*packed=*/true);
     std::vector<double> ratios;
     for (int rep = 0; rep < 5; ++rep) {
       const CellResult on =

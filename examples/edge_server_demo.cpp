@@ -45,13 +45,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(web_model.shared_op_count));
 
   // Edge server on an ephemeral loopback port, serving the main branch.
-  edge::EdgeServer server(0, [&](const Tensor& shared) {
-    const Tensor logits = net.forward_main_from_shared(shared);
-    edge::CompleteResponse r;
-    r.probabilities = softmax_rows(logits);
-    r.label = argmax(r.probabilities);
-    return r;
-  });
+  edge::EdgeServer server(0, edge::main_branch_batch_completion(net));
   std::printf("edge server listening on 127.0.0.1:%u\n\n", server.port());
 
   // Browser client: loads the blob, classifies with Algorithm 2. The
@@ -82,16 +76,18 @@ int main(int argc, char** argv) {
     }
   }
 
-  const edge::ServerStats server_stats = server.stats();
+  const obs::Snapshot server_snap = server.metrics().snapshot();
   std::printf("\naccuracy %.0f%% over %lld samples; %.0f%% exited at the "
               "binary branch;\nedge server completed %lld requests "
-              "(%.2f ms mean).\n",
+              "(%.2f ms mean completion).\n",
               100.0 * static_cast<double>(correct) /
                   static_cast<double>(samples),
               static_cast<long long>(samples),
               100.0 * client.exit_fraction(),
-              static_cast<long long>(server_stats.requests_served),
-              server_stats.mean_completion_ms());
+              static_cast<long long>(server.requests_served()),
+              server_snap.find_histogram(obs::names::kServerCompletionUs)
+                      ->mean() /
+                  1e3);
 
   // Graceful degradation: kill the edge server, then classify again. The
   // client retries, gives up within its deadline, and still answers from
@@ -108,13 +104,12 @@ int main(int argc, char** argv) {
       ++offline_correct;
     }
   }
-  const edge::ClientStats& cs = client.stats();
   std::printf("offline accuracy %lld/%lld; %lld fallback answers, "
               "%lld retries, %lld reconnects.\n",
               static_cast<long long>(offline_correct),
               static_cast<long long>(offline),
-              static_cast<long long>(cs.fallbacks),
-              static_cast<long long>(cs.retries),
-              static_cast<long long>(cs.reconnects));
+              static_cast<long long>(client.fallbacks()),
+              static_cast<long long>(client.retries()),
+              static_cast<long long>(client.reconnects()));
   return 0;
 }

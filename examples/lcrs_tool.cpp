@@ -203,16 +203,6 @@ int cmd_eval(int argc, char** argv) {
   return 0;
 }
 
-edge::CompletionFn completion_for(core::CompositeNetwork& net) {
-  return [&net](const Tensor& shared) {
-    const Tensor logits = net.forward_main_from_shared(shared);
-    edge::CompleteResponse r;
-    r.probabilities = softmax_rows(logits);
-    r.label = argmax(r.probabilities);
-    return r;
-  };
-}
-
 int cmd_bundle(int argc, char** argv) {
   if (argc < 6) return usage();
   core::LoadedComposite loaded = core::load_composite_file(argv[2]);
@@ -257,30 +247,32 @@ int cmd_serve(int argc, char** argv) {
   edge::ServerOptions opts;
   if (argc > 4) opts.ops_port = std::atoi(argv[4]);
 
-  // Checkpoints keep the exact single-model serving path; bundles go
-  // through a registry so more models can be hot-swapped in over stdin.
-  std::optional<core::LoadedComposite> loaded;  // completion_for keepalive
-  std::unique_ptr<edge::EdgeServer> server;
+  // Checkpoints and bundles both become a prepared snapshot in a
+  // registry, so more models can be hot-swapped in over stdin. A
+  // checkpoint serves as the default model, id 0 version 1.
+  auto registry = std::make_shared<edge::ModelRegistry>();
   const std::vector<std::uint8_t> bytes = read_file(argv[2]);
   if (core::looks_like_bundle(bytes)) {
-    auto registry = std::make_shared<edge::ModelRegistry>();
     install_bundle(*registry, core::load_bundle(bytes),
                    /*alias_default=*/true);
-    server = std::make_unique<edge::EdgeServer>(
-        static_cast<std::uint16_t>(port), std::move(registry), opts);
   } else {
-    loaded = core::load_composite(bytes);
-    server = std::make_unique<edge::EdgeServer>(
-        static_cast<std::uint16_t>(port), completion_for(loaded->net),
-        opts);
+    core::LoadedComposite loaded = core::load_composite(bytes);
+    core::BundleInfo info;
+    info.model_id = 0;
+    info.version = 1;
+    info.name = models::arch_name(loaded.ckpt.config.arch);
+    registry->install(
+        edge::ServableModel::from_loaded(info, std::move(loaded)));
   }
+  edge::EdgeServer server(static_cast<std::uint16_t>(port),
+                          std::move(registry), opts);
   std::printf("serving main branch on 127.0.0.1:%u -- press Ctrl-D to "
               "stop\n",
-              server->port());
-  if (server->ops_port() != 0) {
+              server.port());
+  if (server.ops_port() != 0) {
     std::printf("ops plane on 127.0.0.1:%u (/metrics /healthz /readyz "
                 "/statusz /tracez)\n",
-                server->ops_port());
+                server.ops_port());
   }
   std::fflush(stdout);  // scripts poll the port lines before stdin closes
   // Registry command loop until stdin closes; unknown lines print help,
@@ -292,23 +284,23 @@ int cmd_serve(int argc, char** argv) {
     if (!(iss >> cmd)) continue;
     try {
       if (cmd == "load" && (iss >> arg)) {
-        install_bundle(*server->registry(), core::load_bundle_file(arg),
+        install_bundle(*server.registry(), core::load_bundle_file(arg),
                        /*alias_default=*/false);
       } else if (cmd == "evict" && (iss >> arg)) {
         const auto id = static_cast<std::uint32_t>(std::atoll(arg.c_str()));
-        if (server->registry()->evict(id)) {
+        if (server.registry()->evict(id)) {
           std::printf("evicted model %u\n", id);
         } else {
           std::printf("no model %u registered\n", id);
         }
       } else if (cmd == "list") {
-        for (const auto& m : server->registry()->list()) {
+        for (const auto& m : server.registry()->list()) {
           std::printf("model %u v%u \"%s\"\n", m->model_id, m->version,
                       m->name.c_str());
         }
         std::printf("live incl. draining: %lld\n",
                     static_cast<long long>(
-                        server->registry()->live_models()));
+                        server.registry()->live_models()));
       } else {
         std::printf("commands: load <bundle> | evict <id> | list "
                     "(EOF stops)\n");
@@ -318,13 +310,14 @@ int cmd_serve(int argc, char** argv) {
     }
     std::fflush(stdout);
   }
-  const edge::ServerStats stats = server->stats();
+  const obs::Snapshot snap = server.metrics().snapshot();
   std::printf("served %lld requests over %lld connections "
               "(%.2f ms mean completion, %lld connection errors)\n",
-              static_cast<long long>(stats.requests_served),
-              static_cast<long long>(stats.connections_accepted),
-              stats.mean_completion_ms(),
-              static_cast<long long>(stats.connection_errors));
+              static_cast<long long>(server.requests_served()),
+              static_cast<long long>(server.connections_accepted()),
+              snap.find_histogram(obs::names::kServerCompletionUs)->mean() /
+                  1e3,
+              static_cast<long long>(server.connection_errors()));
   return 0;
 }
 
@@ -334,7 +327,7 @@ int cmd_classify(int argc, char** argv) {
   const std::int64_t n = argc > 3 ? std::atoll(argv[3]) : 12;
   const data::Dataset test = fresh_test_set(loaded.ckpt, n, 991);
 
-  edge::EdgeServer server(0, completion_for(loaded.net));
+  edge::EdgeServer server(0, edge::main_branch_batch_completion(loaded.net));
   const webinfer::WebModel model = webinfer::export_browser_model(
       loaded.net, loaded.ckpt.config.in_channels, loaded.ckpt.config.in_h,
       loaded.ckpt.config.in_w);
@@ -352,14 +345,13 @@ int cmd_classify(int argc, char** argv) {
                     test.labels[static_cast<std::size_t>(i)]),
                 r.entropy, core::to_string(r.exit_point));
   }
-  const edge::ClientStats& cs = client.stats();
   std::printf("accuracy %.0f%%, exit fraction %.0f%%, fallbacks %lld, "
               "retries %lld\n",
               100.0 * static_cast<double>(correct) /
                   static_cast<double>(test.size()),
               100.0 * client.exit_fraction(),
-              static_cast<long long>(cs.fallbacks),
-              static_cast<long long>(cs.retries));
+              static_cast<long long>(client.fallbacks()),
+              static_cast<long long>(client.retries()));
   return 0;
 }
 
@@ -377,7 +369,7 @@ int cmd_metrics(int argc, char** argv) {
   }
   const data::Dataset test = fresh_test_set(loaded.ckpt, n, 991);
 
-  edge::EdgeServer server(0, completion_for(loaded.net));
+  edge::EdgeServer server(0, edge::main_branch_batch_completion(loaded.net));
   const webinfer::WebModel model = webinfer::export_browser_model(
       loaded.net, loaded.ckpt.config.in_channels, loaded.ckpt.config.in_h,
       loaded.ckpt.config.in_w);
@@ -390,7 +382,11 @@ int cmd_metrics(int argc, char** argv) {
   }
   server.stop();  // settle the server-side counters before the snapshot
 
-  const obs::Snapshot snap = obs::Registry::global().snapshot();
+  // The process-wide view: free-standing metrics plus the server's, its
+  // model registry's and the client's own.
+  const obs::Snapshot snap = obs::combined_snapshot(
+      {&obs::Registry::global(), &server.metrics(),
+       &server.registry()->metrics(), &client.metrics()});
   if (format == "json") {
     std::printf("%s\n", snap.to_json().c_str());
   } else {

@@ -57,7 +57,7 @@ void check_typed_payload(const edge::Frame& f) {
         break;
       }
       default:
-        break;  // kPing/kPong/kShutdown carry no payload contract
+        break;  // kPing/kPong carry no payload contract
     }
   } catch (const Error&) {
     // A structurally valid frame may still carry a malformed payload.

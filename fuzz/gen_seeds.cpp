@@ -67,8 +67,6 @@ void gen_frame_parser() {
        edge::encode_frame({edge::MsgType::kPing, {}}));
   emit("frame_parser", "seed-pong",
        edge::encode_frame({edge::MsgType::kPong, {}}));
-  emit("frame_parser", "seed-shutdown",
-       edge::encode_frame({edge::MsgType::kShutdown, {}}));
   emit("frame_parser", "seed-busy",
        edge::encode_frame({edge::MsgType::kBusy, edge::make_busy_reply(25)}));
   emit("frame_parser", "seed-request",
@@ -132,6 +130,11 @@ void gen_frame_parser() {
     w.write_u64(0);
     w.write_u32(0);
     emit("frame_parser", "crasher-bad-type", w.bytes());
+  }
+  {  // type 4, the retired client-sent shutdown: reserved, so rejected
+    Bytes shutdown = edge::encode_frame({edge::MsgType::kPing, {}});
+    shutdown[4] = 4;
+    emit("frame_parser", "crasher-shutdown", shutdown);
   }
   {  // a ping in the retired 9-byte "LCRF" header: old magics are rejected
     ByteWriter w;

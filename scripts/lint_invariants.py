@@ -53,6 +53,12 @@ Encodes rules no generic tool knows about this codebase:
                 per element also keeps the loop from vectorizing. The
                 init-statement and range-for are not conditions and are
                 not flagged.
+  single-write  The edge components (src/edge/server.*, client.*,
+                model_registry.*) record each event into their own
+                metrics registry only. Registry::global() and the
+                retired Mirrored* dual-write instruments are banned
+                there, so a second write per event cannot creep back;
+                the ops plane adds the global registry at render time.
   wire-resize   Parser code in src/ may not size an allocation
                 (resize/reserve/container construction) from a value
                 read off the wire (ByteReader read_u32/u64/i64) without
@@ -147,6 +153,12 @@ SIMD_EXEMPT_FILES = {
     "src/binary/bitmatrix.cpp",
     "src/binary/xnor_gemm.cpp",
 }
+
+# single-write: the files whose instruments live in an instance registry,
+# and the vocabulary of a second (global or mirrored) write.
+SINGLE_WRITE_FILES = re.compile(
+    r"^src/edge/(?:server|client|model_registry)\.(?:h|cpp)$")
+SINGLE_WRITE_BANNED = re.compile(r"\bRegistry::global\s*\(|\bMirrored\w*")
 
 # A `for` statement's opening; the header is then scanned for balanced
 # parentheses to find its condition.
@@ -390,6 +402,17 @@ class Linter:
                     "numel() in a for condition -- hoist the count (and "
                     "the data() spans) before the loop")
 
+    def lint_single_write(self, path: Path, code: str) -> None:
+        if not SINGLE_WRITE_FILES.match(path.relative_to(REPO).as_posix()):
+            return
+        for m in SINGLE_WRITE_BANNED.finditer(code):
+            line = code.count("\n", 0, m.start()) + 1
+            self.report(
+                "single-write", path, line,
+                f"{m.group(0)} -- edge components record into their own "
+                "registry only (metrics_); the ops plane renders it with "
+                "the global one")
+
     def lint_fuzz_registration(self) -> None:
         fuzz_dir = REPO / "fuzz"
         cmake = fuzz_dir / "CMakeLists.txt"
@@ -453,6 +476,7 @@ class Linter:
                 self.lint_naked_new(path, code)
                 self.lint_raw_sync(path, code)
                 self.lint_numel_loop(path, code)
+                self.lint_single_write(path, code)
                 if not self.delegate_ast:
                     self.lint_wire_resize(path, code)
             if rel.startswith(("src/", "bench/")):

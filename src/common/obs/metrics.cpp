@@ -4,6 +4,7 @@
 #include <cmath>
 #include <iomanip>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -315,6 +316,28 @@ void Registry::reset_values() {
   for (auto& [name, c] : counters_) c->reset();
   for (auto& [name, g] : gauges_) g->reset();
   for (auto& [name, h] : histograms_) h->reset();
+}
+
+Snapshot combined_snapshot(const std::vector<const Registry*>& registries) {
+  Snapshot out;
+  std::set<std::string> names;
+  const auto merge = [&names](auto* into, const auto& from) {
+    for (const auto& item : from) {
+      const bool first_seen = names.insert(item.name).second;
+      LCRS_CHECK(first_seen, "metric '" << item.name
+                            << "' is registered in two combined registries");
+      into->push_back(item);
+    }
+    std::sort(into->begin(), into->end(),
+              [](const auto& x, const auto& y) { return x.name < y.name; });
+  };
+  for (const Registry* registry : registries) {
+    const Snapshot s = registry->snapshot();
+    merge(&out.counters, s.counters);
+    merge(&out.gauges, s.gauges);
+    merge(&out.histograms, s.histograms);
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------

@@ -136,9 +136,11 @@ struct Snapshot {
 };
 
 /// A named collection of instruments. `Registry::global()` is the
-/// process-wide registry every free-standing call site records into;
-/// components that need per-instance stats (BrowserClient, EdgeServer)
-/// own an instance Registry and mirror updates into the global one.
+/// process-wide registry every free-standing call site records into.
+/// Components with per-instance stats (EdgeServer, BrowserClient,
+/// ModelRegistry) own an instance Registry and record into it alone:
+/// each event is one update to one instrument. Exporters render the
+/// global registry together with the instance ones (combined_snapshot).
 class Registry {
  public:
   Registry() = default;
@@ -175,61 +177,10 @@ class Registry {
       LCRS_GUARDED_BY(mutex_);
 };
 
-/// Instrument pairs that keep a component-local registry and the global
-/// registry in sync with one update call. The snapshot-view stats structs
-/// (ClientStats, ServerStats) read the local side; fleet-wide tooling
-/// reads Registry::global().
-class MirroredCounter {
- public:
-  MirroredCounter(Registry& local, const std::string& name)
-      : local_(local.counter(name)),
-        global_(Registry::global().counter(name)) {}
-  void add(std::int64_t n = 1) {
-    local_.add(n);
-    global_.add(n);
-  }
-  std::int64_t value() const { return local_.value(); }
-
- private:
-  Counter& local_;
-  Counter& global_;
-};
-
-class MirroredGauge {
- public:
-  MirroredGauge(Registry& local, const std::string& name)
-      : local_(local.gauge(name)), global_(Registry::global().gauge(name)) {}
-  void add(double d) {
-    local_.add(d);
-    global_.add(d);
-  }
-  void set(double v) {
-    local_.set(v);
-    global_.set(v);
-  }
-  double value() const { return local_.value(); }
-
- private:
-  Gauge& local_;
-  Gauge& global_;
-};
-
-class MirroredHistogram {
- public:
-  MirroredHistogram(Registry& local, const std::string& name)
-      : local_(local.histogram(name)),
-        global_(Registry::global().histogram(name)) {}
-  void record(double v) {
-    local_.record(v);
-    global_.record(v);
-  }
-  std::int64_t count() const { return local_.count(); }
-  double sum() const { return local_.sum(); }
-
- private:
-  Histogram& local_;
-  Histogram& global_;
-};
+/// One snapshot of registries with disjoint names, each section sorted by
+/// name. A name found twice fails an LCRS_CHECK instead of becoming a
+/// second series.
+Snapshot combined_snapshot(const std::vector<const Registry*>& registries);
 
 // ---------------------------------------------------------------------
 // Process-level gauges (metric_names.h "process.*" family): uptime,

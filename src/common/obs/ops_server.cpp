@@ -218,20 +218,23 @@ HttpResponse ops_respond(const HttpRequest& req, const OpsHooks& hooks) {
     resp.body = "method not allowed\n";
     return resp;
   }
-  const Registry& registry =
-      hooks.registry != nullptr ? *hooks.registry : Registry::global();
+  const auto snapshot = [&hooks] {
+    update_process_gauges();
+    std::vector<const Registry*> registries{&Registry::global()};
+    registries.insert(registries.end(), hooks.registries.begin(),
+                      hooks.registries.end());
+    return combined_snapshot(registries);
+  };
   const FlightRecorder& recorder =
       hooks.recorder != nullptr ? *hooks.recorder : FlightRecorder::global();
   const std::string path = request_path(req);
 
   if (path == "/metrics") {
-    update_process_gauges();
     resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
-    resp.body = render_prometheus(registry.snapshot());
+    resp.body = render_prometheus(snapshot());
   } else if (path == "/metrics.json") {
-    update_process_gauges();
     resp.content_type = "application/json";
-    resp.body = registry.snapshot().to_json();
+    resp.body = snapshot().to_json();
   } else if (path == "/healthz") {
     resp.body = "ok\n";
   } else if (path == "/readyz") {

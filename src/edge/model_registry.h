@@ -41,14 +41,11 @@
 
 namespace lcrs::edge {
 
-/// Completes a conv1 feature map into (label, probabilities). Invoked
-/// concurrently from worker (or, in direct mode, connection) threads.
-using CompletionFn = std::function<CompleteResponse(const Tensor& shared)>;
-
 /// Batched completion: a [k, C, H, W] stack of conv1 feature maps from k
 /// requests (possibly from k different connections) in, exactly k
 /// responses out, row i answering request i. Must be row-independent:
-/// response i may not depend on the other rows.
+/// response i may not depend on the other rows. Invoked concurrently
+/// from worker (or, in direct mode, connection) threads.
 using BatchCompletionFn =
     std::function<std::vector<CompleteResponse>(const Tensor& batch)>;
 
@@ -78,11 +75,9 @@ struct ServableModel {
 };
 
 /// Thread-safe model-id -> snapshot map with strictly-increasing
-/// versions, retirement tracking, and its own mirrored instruments.
+/// versions, retirement tracking, and its own metrics registry.
 class ModelRegistry {
  public:
-  ModelRegistry();
-
   /// Installs `model` under model->model_id, displacing any incumbent.
   /// Throws InvalidArgument unless model->version is strictly greater
   /// than the incumbent's (monotonic version visibility) and the
@@ -113,7 +108,7 @@ class ModelRegistry {
   /// model's last batch has finished.
   std::int64_t live_models() LCRS_EXCLUDES(mutex_);
 
-  /// This registry's own metrics (also mirrored into Registry::global()).
+  /// This registry's own metrics (`edge.registry.*`).
   const obs::Registry& metrics() const { return metrics_; }
 
  private:
@@ -126,10 +121,10 @@ class ModelRegistry {
       LCRS_GUARDED_BY(mutex_);
 
   obs::Registry metrics_;  // must precede the instruments bound to it
-  obs::MirroredGauge models_gauge_{metrics_, obs::names::kRegistryModels};
-  obs::MirroredGauge live_gauge_{metrics_, obs::names::kRegistryModelsLive};
-  obs::MirroredCounter swaps_{metrics_, obs::names::kRegistrySwaps};
-  obs::MirroredCounter evictions_{metrics_, obs::names::kRegistryEvictions};
+  obs::Gauge& models_gauge_ = metrics_.gauge(obs::names::kRegistryModels);
+  obs::Gauge& live_gauge_ = metrics_.gauge(obs::names::kRegistryModelsLive);
+  obs::Counter& swaps_ = metrics_.counter(obs::names::kRegistrySwaps);
+  obs::Counter& evictions_ = metrics_.counter(obs::names::kRegistryEvictions);
 };
 
 }  // namespace lcrs::edge

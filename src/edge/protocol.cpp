@@ -9,7 +9,9 @@ namespace {
 constexpr std::uint32_t kFrameMagic = 0x4c435633;  // "LCV3"
 
 MsgType check_type(std::uint8_t type) {
-  if (type > static_cast<std::uint8_t>(MsgType::kModelUnavailable)) {
+  constexpr std::uint8_t kReservedShutdown = 4;
+  if (type == kReservedShutdown ||
+      type > static_cast<std::uint8_t>(MsgType::kModelUnavailable)) {
     throw ParseError("unknown frame type");
   }
   return static_cast<MsgType>(type);

@@ -33,7 +33,8 @@ enum class MsgType : std::uint8_t {
   kPong = 1,
   kCompleteRequest = 2,   // payload: conv1 feature tensor
   kCompleteResponse = 3,  // payload: i64 label + probability tensor
-  kShutdown = 4,
+  // 4 is reserved: it was a client-sent shutdown, which let any peer
+  // stop the server. Decoders reject it as an unknown type.
   kBusy = 5,  // payload: u32 retry-after hint (ms); admission rejected
   kModelUnavailable = 6,  // payload: u32 model id; registry has no entry
 };

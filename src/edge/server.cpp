@@ -1,5 +1,7 @@
 #include "edge/server.h"
 
+#include <algorithm>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -16,18 +18,20 @@
 
 namespace lcrs::edge {
 
-BatchCompletionFn per_sample_batch(CompletionFn per_sample) {
-  LCRS_CHECK(per_sample != nullptr, "per_sample_batch needs a completion fn");
-  return [per_sample = std::move(per_sample)](const Tensor& batch) {
-    LCRS_CHECK(batch.rank() >= 1 && batch.dim(0) >= 1,
-               "batch completion needs a non-empty outer dimension");
-    std::vector<CompleteResponse> out;
-    out.reserve(static_cast<std::size_t>(batch.dim(0)));
-    for (std::int64_t i = 0; i < batch.dim(0); ++i) {
-      out.push_back(per_sample(batch.slice_outer(i, i + 1)));
-    }
-    return out;
-  };
+std::vector<CompleteResponse> responses_from_probabilities(
+    const Tensor& probabilities) {
+  LCRS_CHECK(probabilities.rank() == 2,
+             "responses_from_probabilities expects [k, num_classes]");
+  const std::int64_t k = probabilities.dim(0);
+  std::vector<CompleteResponse> out;
+  out.reserve(static_cast<std::size_t>(k));
+  for (std::int64_t i = 0; i < k; ++i) {
+    CompleteResponse r;
+    r.probabilities = probabilities.slice_outer(i, i + 1);
+    r.label = argmax(r.probabilities);
+    out.push_back(std::move(r));
+  }
+  return out;
 }
 
 BatchCompletionFn main_branch_batch_completion(core::CompositeNetwork& net) {
@@ -38,20 +42,8 @@ BatchCompletionFn main_branch_batch_completion(core::CompositeNetwork& net) {
   // worker runs) so eval forwards stay lock-free.
   net.prepare_edge_inference();
   return [&net](const Tensor& batch) {
-    const core::MainBatchCompletion done =
-        core::complete_main_batch(net, batch);
-    std::vector<CompleteResponse> out;
-    const std::int64_t k = batch.dim(0);
-    out.reserve(static_cast<std::size_t>(k));
-    for (std::int64_t i = 0; i < k; ++i) {
-      CompleteResponse r;
-      r.label = done.labels[static_cast<std::size_t>(i)];
-      // Row i of the batched softmax, kept as [1, num_classes] exactly as
-      // the per-sample path would produce it (bit-identical rows).
-      r.probabilities = done.probabilities.slice_outer(i, i + 1);
-      out.push_back(std::move(r));
-    }
-    return out;
+    return responses_from_probabilities(
+        core::complete_main_batch(net, batch).probabilities);
   };
 }
 
@@ -76,11 +68,6 @@ std::shared_ptr<ModelRegistry> default_registry(BatchCompletionFn complete) {
 }
 }  // namespace
 
-EdgeServer::EdgeServer(std::uint16_t port, CompletionFn complete,
-                       ServerOptions options)
-    : EdgeServer(port, per_sample_batch(std::move(complete)),
-                 std::move(options)) {}
-
 EdgeServer::EdgeServer(std::uint16_t port, BatchCompletionFn complete,
                        ServerOptions options)
     : EdgeServer(port, default_registry(std::move(complete)),
@@ -95,10 +82,10 @@ EdgeServer::EdgeServer(std::uint16_t port,
   // Process/config gauges: registered up front so the very first scrape
   // (or any /statusz probe) already sees the serving shape.
   obs::register_process_gauges();
-  obs::MirroredGauge(metrics_, obs::names::kServerWorkerPoolSize)
+  metrics_.gauge(obs::names::kServerWorkerPoolSize)
       .set(opts_.direct_execution ? 0.0
                                   : static_cast<double>(opts_.num_workers));
-  obs::MirroredGauge(metrics_, obs::names::kServerMaxBatch)
+  metrics_.gauge(obs::names::kServerMaxBatch)
       .set(opts_.direct_execution ? 1.0
                                   : static_cast<double>(opts_.max_batch));
   ready_gauge_.set(1.0);
@@ -115,6 +102,7 @@ EdgeServer::EdgeServer(std::uint16_t port,
     flight_prev_ = obs::flight_recording_enabled();
     obs::set_flight_recording_enabled(true);
     obs::OpsHooks hooks;
+    hooks.registries = {&metrics_, &registry_->metrics()};
     hooks.ready = [this] { return ready(); };
     hooks.status_json = [this] { return status_json(); };
     ops_ = std::make_unique<obs::OpsServer>(
@@ -178,7 +166,8 @@ std::string EdgeServer::status_json() const {
   return os.str();
 }
 
-void EdgeServer::request_stop() {
+void EdgeServer::stop() {
+  MutexLock stop_lock(stop_mutex_);
   set_ready(false);  // eject from LB rotation before tearing anything down
   stopping_.store(true);
   listener_.shutdown_now();
@@ -191,35 +180,28 @@ void EdgeServer::request_stop() {
       if (c.sock) c.sock->shutdown_now();
     }
   }
-  // Flush undispatched requests and wake the workers. Admission re-checks
-  // stopping_ under queue_mutex_, so nothing can slip into a queue
-  // after this swap: any enqueue ordered after it observes stopping_ and
-  // backs out. Slots are failed *outside* the lock -- queue_mutex_ stays
-  // a leaf that is never held while touching a slot mutex.
-  std::map<std::uint32_t, std::deque<PendingRequest>> flushed;
-  std::size_t flushed_total = 0;
+  // Drain undispatched requests and wake the workers. Admission re-checks
+  // stopping_ under queue_mutex_, so nothing can slip in afterwards. The
+  // deques are emptied in place, never destroyed: a worker lingering in
+  // its batch window still references one. Slots are failed outside the
+  // lock, so queue_mutex_ stays a leaf.
+  std::vector<PendingRequest> drained;
   {
     MutexLock lock(queue_mutex_);
-    flushed.swap(queues_);
-    flushed_total = queued_total_;
+    for (auto& [id, q] : queues_) {
+      std::move(q.begin(), q.end(), std::back_inserter(drained));
+      q.clear();
+    }
     queued_total_ = 0;
     queue_cv_.notify_all();
   }
-  if (flushed_total > 0) {
-    queue_depth_.add(-static_cast<double>(flushed_total));
+  if (!drained.empty()) {
+    queue_depth_.add(-static_cast<double>(drained.size()));
   }
-  for (auto& [id, q] : flushed) {
-    for (auto& r : q) {
-      fulfill(*r.slot, false, CompleteResponse{}, "server stopping");
-    }
+  for (auto& r : drained) {
+    fulfill(*r.slot, false, CompleteResponse{}, "server stopping");
   }
-}
 
-void EdgeServer::stop() {
-  // Not gated on stopping_: a client's kShutdown frame sets that flag from
-  // a connection thread, and stop() must still join everything after it.
-  MutexLock stop_lock(stop_mutex_);
-  request_stop();
   if (acceptor_.joinable()) acceptor_.join();
   // Workers drain to "stopping and queue empty" and exit; every request
   // they still held has been fulfilled by then, so no connection thread
@@ -227,8 +209,7 @@ void EdgeServer::stop() {
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
   }
-  // Join without holding conns_mutex_: a connection thread that received
-  // kShutdown may itself be inside request_stop() waiting for the lock.
+  // Joined outside the lock, as in accept_loop.
   std::vector<Connection> conns;
   {
     MutexLock lock(conns_mutex_);
@@ -249,18 +230,6 @@ void EdgeServer::stop() {
 std::int64_t EdgeServer::queue_depth() const {
   MutexLock lock(queue_mutex_);
   return static_cast<std::int64_t>(queued_total_);
-}
-
-ServerStats EdgeServer::stats() const {
-  ServerStats s;
-  s.requests_served = requests_.value();
-  s.connections_accepted = accepted_.value();
-  s.connection_errors = connection_errors_.value();
-  s.rejected_busy = rejected_busy_.value();
-  s.rejected_unknown_model = rejected_model_.value();
-  s.batches_dispatched = batches_.value();
-  s.total_completion_ms = completion_us_.sum() / 1e3;
-  return s;
 }
 
 void EdgeServer::collect_finished_locked(std::vector<Connection>* out) {
@@ -319,7 +288,7 @@ void EdgeServer::accept_loop() {
           Connection{std::move(handler), conn_ptr, std::move(done)});
     }
     // Join finished threads outside the lock: holding conns_mutex_
-    // across a join would block request_stop() (and with it, shutdown
+    // across a join would block stop() (and with it, shutdown
     // convergence) on an unrelated thread's exit path.
     for (auto& c : finished) {
       if (c.thread.joinable()) c.thread.join();
@@ -368,11 +337,6 @@ void EdgeServer::serve_connection(Socket& conn) {
         }
         break;
       }
-      case MsgType::kShutdown:
-        // Close the listener AND every live peer, so stop() converges
-        // instead of waiting for other clients to hang up on their own.
-        request_stop();
-        return;
       default:
         throw ParseError("unexpected frame type at server");
     }
@@ -382,7 +346,6 @@ void EdgeServer::serve_connection(Socket& conn) {
 void EdgeServer::serve_request_direct(
     Socket& conn, const Tensor& shared, std::uint64_t trace_id,
     std::shared_ptr<const ServableModel> model) {
-  const std::uint32_t model_id = model->model_id;
   Stopwatch watch;
   std::vector<CompleteResponse> resp;
   {
@@ -394,17 +357,7 @@ void EdgeServer::serve_request_direct(
              "direct completion returned " << resp.size() << " responses");
   batch_size_.record(1.0);
   batches_.add();
-  {
-    obs::Span span(trace_id, obs::names::kSpanEdgeSerialize);
-    conn.send_frame(Frame{MsgType::kCompleteResponse,
-                          make_complete_response(resp.front()), trace_id,
-                          model_id});
-  }
-  requests_.add();
-  obs::MirroredCounter(metrics_,
-                       obs::names::model_metric(model_id, "requests"))
-      .add();
-  obs::flight_record_finish(trace_id, false, "edge.served");
+  send_response(conn, resp.front(), trace_id, model->model_id);
 }
 
 void EdgeServer::serve_request_queued(
@@ -417,7 +370,7 @@ void EdgeServer::serve_request_queued(
   {
     MutexLock lock(queue_mutex_);
     if (stopping_.load()) {
-      // request_stop() has flushed (or is flushing) the queue; anything
+      // stop() has drained (or is draining) the queues; anything
       // enqueued now would hang forever. The peer socket is already shut
       // down, so close quietly and let the client's retry path handle it.
       admission = Admission::kStopping;
@@ -467,6 +420,12 @@ void EdgeServer::serve_request_queued(
                               "edge.completion_failed: " + completion_error);
     throw IoError("edge completion failed: " + completion_error);
   }
+  send_response(conn, response, trace_id, model_id);
+}
+
+void EdgeServer::send_response(Socket& conn, const CompleteResponse& response,
+                               std::uint64_t trace_id,
+                               std::uint32_t model_id) {
   {
     obs::Span span(trace_id, obs::names::kSpanEdgeSerialize);
     conn.send_frame(Frame{MsgType::kCompleteResponse,
@@ -474,9 +433,7 @@ void EdgeServer::serve_request_queued(
                           model_id});
   }
   requests_.add();
-  obs::MirroredCounter(metrics_,
-                       obs::names::model_metric(model_id, "requests"))
-      .add();
+  metrics_.counter(obs::names::model_metric(model_id, "requests")).add();
   obs::flight_record_finish(trace_id, false, "edge.served");
 }
 
@@ -505,6 +462,8 @@ std::vector<EdgeServer::PendingRequest> EdgeServer::next_batch() {
     while (it->second.empty()) ++it;  // queued_total_ > 0 guarantees one
   }
   rr_cursor_ = it->first;
+  // Valid across the waits below: stop() drains queues in place and no
+  // node of queues_ is ever erased.
   std::deque<PendingRequest>& queue = it->second;
 
   batch.push_back(std::move(queue.front()));

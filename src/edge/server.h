@@ -30,9 +30,10 @@
 // existing retry/backoff/local-fallback path rather than into unbounded
 // memory growth and collapse.
 //
-// Shutdown is convergent: stop() (and a kShutdown frame from any client)
-// shuts down every live peer socket, flushes the queue (failing the
-// flushed requests' slots so their connection threads unwind), wakes the
+// Shutdown is the operator's: only stop() (the destructor, or a tool's
+// stdin loop) ends the server; no client frame can. stop() shuts down
+// every live peer socket, drains the queues (failing the drained
+// requests' slots so their connection threads unwind), wakes the
 // workers, and joins everything.
 #pragma once
 
@@ -61,18 +62,19 @@ class OpsServer;  // common/obs/ops_server.h (included by server.cpp)
 
 namespace lcrs::edge {
 
-// CompletionFn / BatchCompletionFn live in edge/model_registry.h (a
-// ServableModel snapshot carries the batched completion).
-
-/// Adapts a per-sample completion to the batch interface by slicing the
-/// batch and completing rows one at a time. Correct for any completion
-/// but forfeits GEMM amortization; prefer main_branch_batch_completion.
-BatchCompletionFn per_sample_batch(CompletionFn per_sample);
+// BatchCompletionFn lives in edge/model_registry.h (a ServableModel
+// snapshot carries the batched completion).
 
 /// The real batched edge completion: one core::complete_main_batch
-/// Sequential forward over the whole stack. Eval-mode forwards are
-/// thread-safe, so no serialization wrapper is needed.
+/// Sequential forward over the whole stack. Packs `net`'s main-rest
+/// weights (prepare_edge_inference) before returning. Eval-mode forwards
+/// are thread-safe, so no serialization wrapper is needed.
 BatchCompletionFn main_branch_batch_completion(core::CompositeNetwork& net);
+
+/// Splits a [k, num_classes] probability batch into k responses: row i
+/// as a [1, num_classes] tensor, labelled with its argmax.
+std::vector<CompleteResponse> responses_from_probabilities(
+    const Tensor& probabilities);
 
 /// Serving-path configuration. Defaults favor throughput with no added
 /// latency when idle: workers cut a batch as soon as the queue drains
@@ -111,33 +113,11 @@ struct ServerOptions {
   void validate() const;
 };
 
-/// Point-in-time snapshot of the server's request counters, read out of
-/// the server's metrics registry (kept as a struct for API
-/// compatibility).
-struct ServerStats {
-  std::int64_t requests_served = 0;
-  std::int64_t connections_accepted = 0;
-  std::int64_t connection_errors = 0;  // connections ended by an exception
-  std::int64_t rejected_busy = 0;      // admissions refused with kBusy
-  std::int64_t rejected_unknown_model = 0;  // kModelUnavailable replies
-  std::int64_t batches_dispatched = 0; // batched forwards executed
-  double total_completion_ms = 0.0;    // time spent inside the completion fn
-
-  double mean_completion_ms() const {
-    return requests_served > 0
-               ? total_completion_ms / static_cast<double>(requests_served)
-               : 0.0;
-  }
-};
-
 class EdgeServer {
  public:
   /// Binds immediately (port 0 = ephemeral) and starts serving with the
-  /// given options (default: worker pool, batching on demand). The
-  /// completion-fn ctors wrap the fn as model id 0 (version 1) in a
-  /// fresh registry, so single-model callers are unchanged.
-  EdgeServer(std::uint16_t port, CompletionFn complete,
-             ServerOptions options = ServerOptions());
+  /// given options (default: worker pool, batching on demand). `complete`
+  /// is installed as model id 0 (version 1) in a fresh registry.
   EdgeServer(std::uint16_t port, BatchCompletionFn complete,
              ServerOptions options = ServerOptions());
   /// Multi-model serving: requests route through `registry` by the
@@ -159,13 +139,17 @@ class EdgeServer {
   const ServerOptions& options() const { return opts_; }
 
   /// LB-facing readiness surfaced at /readyz (and the
-  /// edge.server.ready gauge). stop()/request_stop() flip it off; a
+  /// edge.server.ready gauge). stop() flips it off; a
   /// controlled drain can flip it off earlier so the replica is ejected
   /// from rotation while in-flight requests finish.
   void set_ready(bool ready);
   bool ready() const { return ready_.load() && !stopping_.load(); }
   std::int64_t requests_served() const { return requests_.value(); }
   std::int64_t connections_accepted() const { return accepted_.value(); }
+  /// Connections that ended by an exception (protocol or transport).
+  std::int64_t connection_errors() const {
+    return connection_errors_.value();
+  }
   std::int64_t rejected_busy() const { return rejected_busy_.value(); }
   std::int64_t rejected_unknown_model() const {
     return rejected_model_.value();
@@ -175,8 +159,8 @@ class EdgeServer {
   const std::shared_ptr<ModelRegistry>& registry() const { return registry_; }
   /// Total queued requests across every model queue.
   std::int64_t queue_depth() const LCRS_EXCLUDES(queue_mutex_);
-  ServerStats stats() const;
-  /// This server's own registry (also mirrored into Registry::global()).
+  /// This server's own registry (`edge.server.*`, with
+  /// `edge.server.model.<id>.requests` per served model).
   const obs::Registry& metrics() const { return metrics_; }
 
   /// Idempotent; wakes blocked connection/worker threads (even idle ones
@@ -224,16 +208,15 @@ class EdgeServer {
                             std::uint64_t trace_id,
                             std::shared_ptr<const ServableModel> model)
       LCRS_EXCLUDES(queue_mutex_);
+  /// Sends one completion back and counts it as served.
+  void send_response(Socket& conn, const CompleteResponse& response,
+                     std::uint64_t trace_id, std::uint32_t model_id);
   /// Moves finished connections (done flag set) out of connections_ so
   /// the caller can join them *after* releasing conns_mutex_ -- joining
-  /// under the lock would stall request_stop() and new accepts for as
-  /// long as a dying thread takes to unwind.
+  /// under the lock would stall stop() and new accepts for as long as a
+  /// dying thread takes to unwind.
   void collect_finished_locked(std::vector<Connection>* out)
       LCRS_REQUIRES(conns_mutex_);
-  /// Signals shutdown without joining: closes the listener, shuts down
-  /// every live peer socket, flushes the queue (failing flushed slots)
-  /// and wakes the workers. Safe from connection threads.
-  void request_stop() LCRS_EXCLUDES(conns_mutex_, queue_mutex_);
 
   /// Worker pool: blocks for work, coalesces a batch, dispatches it.
   void worker_loop() LCRS_EXCLUDES(queue_mutex_);
@@ -264,30 +247,33 @@ class EdgeServer {
   std::atomic<bool> ready_{true};
 
   obs::Registry metrics_;  // must precede the instruments bound to it
-  obs::MirroredCounter requests_{metrics_, obs::names::kServerRequests};
-  obs::MirroredCounter accepted_{metrics_, obs::names::kServerConnections};
-  obs::MirroredCounter connection_errors_{
-      metrics_, obs::names::kServerConnectionErrors};
-  obs::MirroredCounter rejected_busy_{metrics_,
-                                      obs::names::kServerRejectedBusy};
-  obs::MirroredCounter rejected_model_{metrics_,
-                                       obs::names::kServerRejectedModel};
-  obs::MirroredCounter batches_{metrics_, obs::names::kServerBatches};
-  obs::MirroredGauge active_connections_{
-      metrics_, obs::names::kServerActiveConnections};
-  obs::MirroredGauge queue_depth_{metrics_, obs::names::kServerQueueDepth};
-  obs::MirroredHistogram completion_us_{metrics_,
-                                        obs::names::kServerCompletionUs};
-  obs::MirroredHistogram queue_wait_us_{metrics_,
-                                        obs::names::kServerQueueWaitUs};
-  obs::MirroredHistogram batch_size_{metrics_, obs::names::kServerBatchSize};
-  obs::MirroredGauge ready_gauge_{metrics_, obs::names::kServerReady};
+  obs::Counter& requests_ = metrics_.counter(obs::names::kServerRequests);
+  obs::Counter& accepted_ = metrics_.counter(obs::names::kServerConnections);
+  obs::Counter& connection_errors_ =
+      metrics_.counter(obs::names::kServerConnectionErrors);
+  obs::Counter& rejected_busy_ =
+      metrics_.counter(obs::names::kServerRejectedBusy);
+  obs::Counter& rejected_model_ =
+      metrics_.counter(obs::names::kServerRejectedModel);
+  obs::Counter& batches_ = metrics_.counter(obs::names::kServerBatches);
+  obs::Gauge& active_connections_ =
+      metrics_.gauge(obs::names::kServerActiveConnections);
+  obs::Gauge& queue_depth_ = metrics_.gauge(obs::names::kServerQueueDepth);
+  obs::Histogram& completion_us_ =
+      metrics_.histogram(obs::names::kServerCompletionUs);
+  obs::Histogram& queue_wait_us_ =
+      metrics_.histogram(obs::names::kServerQueueWaitUs);
+  obs::Histogram& batch_size_ =
+      metrics_.histogram(obs::names::kServerBatchSize);
+  obs::Gauge& ready_gauge_ = metrics_.gauge(obs::names::kServerReady);
 
   // Per-model request queues feeding the shared worker pool. Leaf-like:
   // nothing else is acquired while queue_mutex_ is held (slots are
   // fulfilled after it is released; the registry is consulted before
-  // admission, never under it), except by stop()/request_stop() which
-  // hold stop_mutex_ first (see the ACQUIRED_BEFORE on stop_mutex_).
+  // admission, never under it), except by stop(), which holds
+  // stop_mutex_ first (see the ACQUIRED_BEFORE on stop_mutex_). Map
+  // nodes are never erased while the server lives: a worker lingering in
+  // its batch window holds a reference to one.
   mutable Mutex queue_mutex_{"edge.server.queue"};
   CondVar queue_cv_;
   std::map<std::uint32_t, std::deque<PendingRequest>> queues_
@@ -299,14 +285,12 @@ class EdgeServer {
   /// first model id strictly greater than this.
   std::uint32_t rr_cursor_ LCRS_GUARDED_BY(queue_mutex_) = 0;
 
-  // Guards the live-connection map. Acquired by the acceptor, by
-  // connection threads entering request_stop(), and by stop(); never
-  // held across a join or a completion call.
+  // Guards the live-connection map. Acquired by the acceptor and by
+  // stop(); never held across a join or a completion call.
   Mutex conns_mutex_{"edge.server.conns"};
   std::vector<Connection> connections_ LCRS_GUARDED_BY(conns_mutex_);
   // Serializes stop() callers. Allowed orders: stop -> conns and
-  // stop -> queue (stop() calls request_stop() while holding it); the
-  // reverse orders never happen.
+  // stop -> queue; the reverse orders never happen.
   Mutex stop_mutex_ LCRS_ACQUIRED_BEFORE(conns_mutex_, queue_mutex_){
       "edge.server.stop"};
   std::vector<std::thread> workers_;

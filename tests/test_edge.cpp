@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <fstream>
 #include <future>
+#include <optional>
 #include <set>
 #include <thread>
 
@@ -216,16 +217,18 @@ core::CompositeNetwork make_net(Rng& rng) {
   return core::CompositeNetwork::build(cfg, rng);
 }
 
+/// A counter's value in `registry`, or 0 when it was never registered.
+std::int64_t counter_value(const obs::Registry& registry,
+                           const std::string& name) {
+  const obs::Snapshot snap = registry.snapshot();
+  const obs::CounterSnapshot* c = snap.find_counter(name);
+  return c != nullptr ? c->value : 0;
+}
+
 TEST(EdgeServer, ServesCompletionsAndCounts) {
   Rng rng(2);
   core::CompositeNetwork net = make_net(rng);
-  EdgeServer server(0, [&](const Tensor& shared) {
-    const Tensor logits = net.forward_main_from_shared(shared);
-    CompleteResponse r;
-    r.probabilities = softmax_rows(logits);
-    r.label = argmax(r.probabilities);
-    return r;
-  });
+  EdgeServer server(0, main_branch_batch_completion(net));
 
   Socket conn = connect_local(server.port());
   const Tensor x = Tensor::randn(Shape{1, 1, 28, 28}, rng);
@@ -253,13 +256,7 @@ TEST(EndToEnd, SocketRuntimeMatchesInProcessAlgorithm2) {
   // Warm batchnorm-free LeNet needs no stat warmup; export directly.
   webinfer::Engine engine{webinfer::export_browser_model(net, 1, 28, 28)};
 
-  EdgeServer server(0, [&](const Tensor& shared) {
-    const Tensor logits = net.forward_main_from_shared(shared);
-    CompleteResponse r;
-    r.probabilities = softmax_rows(logits);
-    r.label = argmax(r.probabilities);
-    return r;
-  });
+  EdgeServer server(0, main_branch_batch_completion(net));
 
   const core::ExitPolicy policy{0.6};
   BrowserClient client(std::move(engine), policy, server.port());
@@ -285,13 +282,7 @@ TEST(EndToEnd, ForcedMissAlwaysAsksServer) {
   Rng rng(4);
   core::CompositeNetwork net = make_net(rng);
   webinfer::Engine engine{webinfer::export_browser_model(net, 1, 28, 28)};
-  EdgeServer server(0, [&](const Tensor& shared) {
-    const Tensor logits = net.forward_main_from_shared(shared);
-    CompleteResponse r;
-    r.probabilities = softmax_rows(logits);
-    r.label = argmax(r.probabilities);
-    return r;
-  });
+  EdgeServer server(0, main_branch_batch_completion(net));
   BrowserClient client(std::move(engine), core::ExitPolicy{0.0},
                        server.port());
   for (int i = 0; i < 3; ++i) {
@@ -315,13 +306,7 @@ TEST(EndToEnd, ClientModelIdRoutesAndUnavailableFallsBack) {
   // untagged client would be rejected too.
   auto registry = std::make_shared<ModelRegistry>();
   registry->install(ServableModel::from_fn(
-      5, 1, "m5", per_sample_batch([&net](const Tensor& shared) {
-        const Tensor logits = net.forward_main_from_shared(shared);
-        CompleteResponse r;
-        r.probabilities = softmax_rows(logits);
-        r.label = argmax(r.probabilities);
-        return r;
-      })));
+      5, 1, "m5", main_branch_batch_completion(net)));
   EdgeServer server(0, registry, ServerOptions{});
 
   RetryPolicy retry;
@@ -334,7 +319,9 @@ TEST(EndToEnd, ClientModelIdRoutesAndUnavailableFallsBack) {
   const ClientResult ok =
       client.classify(Tensor::randn(Shape{1, 1, 28, 28}, rng));
   EXPECT_EQ(ok.exit_point, core::ExitPoint::kMainBranch);
-  EXPECT_EQ(client.stats().model_unavailable, 0);
+  EXPECT_EQ(counter_value(client.metrics(),
+                          obs::names::kClientModelUnavailable),
+            0);
 
   // Retagging to an unregistered id: every attempt draws
   // kModelUnavailable and the client degrades to the binary branch --
@@ -343,11 +330,13 @@ TEST(EndToEnd, ClientModelIdRoutesAndUnavailableFallsBack) {
   const ClientResult fb =
       client.classify(Tensor::randn(Shape{1, 1, 28, 28}, rng));
   EXPECT_EQ(fb.exit_point, core::ExitPoint::kBinaryBranchFallback);
-  EXPECT_EQ(client.stats().model_unavailable, retry.max_attempts);
+  EXPECT_EQ(counter_value(client.metrics(),
+                          obs::names::kClientModelUnavailable),
+            retry.max_attempts);
 
   server.stop();
-  EXPECT_EQ(server.stats().requests_served, 1);
-  EXPECT_EQ(server.stats().rejected_unknown_model, retry.max_attempts);
+  EXPECT_EQ(server.requests_served(), 1);
+  EXPECT_EQ(server.rejected_unknown_model(), retry.max_attempts);
 }
 
 TEST(EndToEnd, StitchedTraceSpansClientAndServer) {
@@ -363,13 +352,7 @@ TEST(EndToEnd, StitchedTraceSpansClientAndServer) {
   obs::ScopedTraceSink scoped(&sink);
   obs::Registry::global().reset_values();
 
-  EdgeServer server(0, [&](const Tensor& shared) {
-    const Tensor logits = net.forward_main_from_shared(shared);
-    CompleteResponse r;
-    r.probabilities = softmax_rows(logits);
-    r.label = argmax(r.probabilities);
-    return r;
-  });
+  EdgeServer server(0, main_branch_batch_completion(net));
   // tau = 0 forces every request through the full collaborative path so
   // the server-side spans are guaranteed to exist.
   BrowserClient client(std::move(engine), core::ExitPolicy{0.0},
@@ -423,8 +406,11 @@ TEST(EndToEnd, StitchedTraceSpansClientAndServer) {
   EXPECT_EQ(server_snap.find_counter(obs::names::kServerRequests)->value,
             kRequests);
 
-  // The global registry mirrors both sides and the shared exit recorder.
+  // The global registry holds the shared exit recorder; the client and
+  // server counters live in their own registries only.
   const obs::Snapshot global = obs::Registry::global().snapshot();
+  EXPECT_EQ(global.find_counter(obs::names::kClientRequests), nullptr);
+  EXPECT_EQ(global.find_counter(obs::names::kServerRequests), nullptr);
   const auto* gexit = global.find_counter(obs::names::kExitMain);
   ASSERT_NE(gexit, nullptr);
   EXPECT_EQ(gexit->value, kRequests);
@@ -463,13 +449,7 @@ TEST(EdgeServer, ServesConcurrentClients) {
   core::CompositeNetwork net = make_net(rng);
   // Eval-mode forwards are thread-safe (all layer caching is train-gated),
   // so completions run genuinely in parallel.
-  EdgeServer server(0, [&](const Tensor& shared) {
-    const Tensor logits = net.forward_main_from_shared(shared);
-    CompleteResponse r;
-    r.probabilities = softmax_rows(logits);
-    r.label = argmax(r.probabilities);
-    return r;
-  });
+  EdgeServer server(0, main_branch_batch_completion(net));
 
   constexpr int kClients = 4;
   constexpr int kRequestsEach = 5;
@@ -581,13 +561,12 @@ bool finishes_within(Fn&& fn, int timeout_ms) {
   return done;
 }
 
-CompletionFn completion_for(core::CompositeNetwork& net) {
-  return [&net](const Tensor& shared) {
-    const Tensor logits = net.forward_main_from_shared(shared);
-    CompleteResponse r;
-    r.probabilities = softmax_rows(logits);
-    r.label = argmax(r.probabilities);
-    return r;
+/// Answers every row with label 0: for tests that never read the answer.
+BatchCompletionFn constant_completion() {
+  return [](const Tensor& batch) {
+    return std::vector<CompleteResponse>(
+        static_cast<std::size_t>(batch.dim(0)),
+        CompleteResponse{0, Tensor::ones(Shape{1, 2})});
   };
 }
 
@@ -670,9 +649,10 @@ TEST(EndToEnd, ServerKilledMidRequestFallsBackToBinary) {
   core::CompositeNetwork net = make_net(rng);
   webinfer::Engine engine{webinfer::export_browser_model(net, 1, 28, 28)};
   // Completions stall so the kill lands while a request is in flight.
-  auto server = std::make_unique<EdgeServer>(0, [&](const Tensor& shared) {
+  const BatchCompletionFn complete = main_branch_batch_completion(net);
+  auto server = std::make_unique<EdgeServer>(0, [&](const Tensor& batch) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    return completion_for(net)(shared);
+    return complete(batch);
   });
 
   // Force every sample to the edge path.
@@ -691,7 +671,7 @@ TEST(EndToEnd, ServerKilledMidRequestFallsBackToBinary) {
   EXPECT_EQ(r.exit_point, core::ExitPoint::kBinaryBranchFallback);
   EXPECT_LT(watch.millis(), 1500.0);  // bounded by the edge-path deadline
   EXPECT_EQ(client.fallbacks(), 1);
-  EXPECT_GE(client.stats().retries, 1);
+  EXPECT_GE(client.retries(), 1);
 
   // Fallback correctness: the degraded answer IS the binary branch's
   // prediction (always-exit policy reproduces pure binary inference).
@@ -705,9 +685,10 @@ TEST(EndToEnd, SlowServerTripsClientDeadline) {
   Rng rng(42);
   core::CompositeNetwork net = make_net(rng);
   webinfer::Engine engine{webinfer::export_browser_model(net, 1, 28, 28)};
-  EdgeServer server(0, [&](const Tensor& shared) {
+  const BatchCompletionFn complete = main_branch_batch_completion(net);
+  EdgeServer server(0, [&](const Tensor& batch) {
     std::this_thread::sleep_for(std::chrono::milliseconds(400));
-    return completion_for(net)(shared);
+    return complete(batch);
   });
 
   RetryPolicy retry = fast_retry(60.0);
@@ -755,8 +736,8 @@ TEST(EndToEnd, ReconnectAfterMidRequestErrorThenSucceed) {
   flaky.join();
   EXPECT_EQ(r.exit_point, core::ExitPoint::kMainBranch);
   EXPECT_EQ(r.label, 4);
-  EXPECT_GE(client.stats().retries, 1);
-  EXPECT_GE(client.stats().reconnects, 1);
+  EXPECT_GE(client.retries(), 1);
+  EXPECT_GE(client.reconnects(), 1);
   EXPECT_EQ(client.fallbacks(), 0);
 }
 
@@ -764,7 +745,7 @@ TEST(EndToEnd, InjectedDropsFallBackUnderDeadline) {
   Rng rng(44);
   core::CompositeNetwork net = make_net(rng);
   webinfer::Engine engine{webinfer::export_browser_model(net, 1, 28, 28)};
-  EdgeServer server(0, completion_for(net));
+  EdgeServer server(0, main_branch_batch_completion(net));
 
   sim::FaultSpec black_hole;
   black_hole.drop_prob = 1.0;  // every request frame vanishes in transit
@@ -786,7 +767,7 @@ TEST(EndToEnd, InjectedMidFrameCloseIsCountedAsServerError) {
   Rng rng(45);
   core::CompositeNetwork net = make_net(rng);
   webinfer::Engine engine{webinfer::export_browser_model(net, 1, 28, 28)};
-  EdgeServer server(0, completion_for(net));
+  EdgeServer server(0, main_branch_batch_completion(net));
 
   sim::FaultSpec tear_down;
   tear_down.close_prob = 1.0;  // every send dies mid-frame
@@ -801,18 +782,16 @@ TEST(EndToEnd, InjectedMidFrameCloseIsCountedAsServerError) {
   }
   EXPECT_GE(fi.connections_closed(), 1);
   // The server saw the torn connections as mid-message EOFs.
-  for (int i = 0; i < 200 && server.stats().connection_errors < 1; ++i) {
+  for (int i = 0; i < 200 && server.connection_errors() < 1; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_GE(server.stats().connection_errors, 1);
+  EXPECT_GE(server.connection_errors(), 1);
 }
 
 TEST(EdgeServer, StopWithIdleConnectionReturnsPromptly) {
   // Regression: stop() used to join a connection thread blocked forever
   // in recv_frame on an idle client connection.
-  auto server = std::make_unique<EdgeServer>(0, [](const Tensor&) {
-    return CompleteResponse{0, Tensor::ones(Shape{1, 2})};
-  });
+  auto server = std::make_unique<EdgeServer>(0, constant_completion());
   Socket idle_client = connect_local(server->port());
   for (int i = 0; i < 200 && server->connections_accepted() < 1; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -827,46 +806,31 @@ TEST(EdgeServer, StopWithIdleConnectionReturnsPromptly) {
   }
 }
 
-TEST(EdgeServer, ShutdownFrameClosesPeerConnectionsAndStopConverges) {
-  auto server = std::make_unique<EdgeServer>(0, [](const Tensor&) {
-    return CompleteResponse{0, Tensor::ones(Shape{1, 2})};
-  });
-  Socket bystander = connect_local(server->port());
-  Socket controller = connect_local(server->port());
-  for (int i = 0; i < 200 && server->connections_accepted() < 2; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(server->connections_accepted(), 2);
-
-  controller.send_frame(Frame{MsgType::kShutdown, {}});
-  // The *other* connection must be closed by the server, not linger until
-  // its client hangs up.
-  EXPECT_FALSE(bystander.recv_frame(Deadline::after_ms(3000.0)).has_value());
-
-  EdgeServer* raw = server.get();
-  const bool stopped = finishes_within([raw] { raw->stop(); }, 5000);
-  EXPECT_TRUE(stopped) << "stop() did not converge after kShutdown";
-  if (!stopped) (void)server.release();
-}
-
 TEST(EdgeServer, StatsSnapshotTracksCompletions) {
   Rng rng(46);
   core::CompositeNetwork net = make_net(rng);
-  EdgeServer server(0, completion_for(net));
+  EdgeServer server(0, main_branch_batch_completion(net));
   Socket conn = connect_local(server.port());
   const Tensor x = Tensor::randn(Shape{1, 1, 28, 28}, rng);
   const Tensor shared = net.shared_stage().forward(x, false);
   conn.send_frame(
       Frame{MsgType::kCompleteRequest, make_complete_request(shared)});
   ASSERT_TRUE(conn.recv_frame().has_value());
-  for (int i = 0; i < 200 && server.stats().requests_served < 1; ++i) {
+  for (int i = 0; i < 200 && server.requests_served() < 1; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  const ServerStats s = server.stats();
-  EXPECT_EQ(s.requests_served, 1);
-  EXPECT_EQ(s.connections_accepted, 1);
-  EXPECT_GE(s.total_completion_ms, 0.0);
-  EXPECT_EQ(s.mean_completion_ms(), s.total_completion_ms);
+  const obs::Snapshot snap = server.metrics().snapshot();
+  EXPECT_EQ(counter_value(server.metrics(), obs::names::kServerRequests), 1);
+  EXPECT_EQ(counter_value(server.metrics(),
+                          obs::names::model_metric(0, "requests")),
+            1);
+  EXPECT_EQ(counter_value(server.metrics(), obs::names::kServerConnections),
+            1);
+  const obs::HistogramSnapshot* completion =
+      snap.find_histogram(obs::names::kServerCompletionUs);
+  ASSERT_NE(completion, nullptr);
+  EXPECT_EQ(completion->count, 1);
+  EXPECT_GE(completion->sum, 0.0);
 }
 
 TEST(EndToEnd, FallbackDisabledRethrows) {
@@ -950,12 +914,13 @@ TEST(EdgeServer, FullQueueAnswersBusyAndRecovers) {
   opts.num_workers = 1;
   opts.queue_capacity = 1;
   opts.busy_retry_after_ms = 7;
+  const BatchCompletionFn complete = main_branch_batch_completion(net);
   EdgeServer server(
       0,
-      CompletionFn([&](const Tensor& shared) {
+      [&](const Tensor& batch) {
         gate.enter();
-        return completion_for(net)(shared);
-      }),
+        return complete(batch);
+      },
       opts);
 
   const Tensor x = Tensor::randn(Shape{1, 1, 28, 28}, rng);
@@ -1075,12 +1040,13 @@ TEST(EndToEnd, ClientRetriesThroughBusyAndSucceeds) {
   opts.num_workers = 1;
   opts.queue_capacity = 1;
   opts.busy_retry_after_ms = 1;
+  const BatchCompletionFn complete = main_branch_batch_completion(net);
   EdgeServer server(
       0,
-      CompletionFn([&](const Tensor& shared) {
+      [&](const Tensor& batch) {
         gate.enter();
-        return completion_for(net)(shared);
-      }),
+        return complete(batch);
+      },
       opts);
 
   // Occupy the worker and fill the queue with raw requests.
@@ -1120,7 +1086,9 @@ TEST(EndToEnd, ClientRetriesThroughBusyAndSucceeds) {
   classifier.join();
   (void)a.recv_frame(Deadline::after_ms(5000.0));
   (void)b.recv_frame(Deadline::after_ms(5000.0));
-  EXPECT_GE(client.stats().busy_rejections, 1);
+  EXPECT_GE(counter_value(client.metrics(),
+                          obs::names::kClientBusyRejections),
+            1);
   EXPECT_EQ(client.fallbacks(), 0);
 }
 
@@ -1167,13 +1135,16 @@ int edge_mismatches(BrowserClient& client, const webinfer::Engine& browser,
   return mismatches;
 }
 
-TEST(EdgeServer, OldGenerationHeaderEndsOnlyThatConnection) {
+/// Sends `bytes` from a hostile peer while a well-behaved BrowserClient
+/// classifies: the server must hang up on the hostile peer alone, count
+/// one connection error, and keep answering the client bit-exactly.
+void expect_only_sender_dropped(const std::vector<std::uint8_t>& bytes) {
   Rng rng(70);
   core::CompositeNetwork net = make_net(rng);
   const webinfer::WebModel browser_model =
       webinfer::export_browser_model(net, 1, 28, 28);
   const webinfer::Engine browser{browser_model};
-  EdgeServer server(0, completion_for(net));
+  EdgeServer server(0, main_branch_batch_completion(net));
   BrowserClient client(webinfer::Engine{browser_model}, core::ExitPolicy{0.0},
                        server.port());
 
@@ -1183,21 +1154,13 @@ TEST(EdgeServer, OldGenerationHeaderEndsOnlyThatConnection) {
     mismatches = edge_mismatches(client, browser, net, crng, 20);
   });
 
-  // A ping in the retired 9-byte "LCRF" header. Its 12-byte payload
-  // fills out the 21 bytes the server reads as one header, so the server
-  // sees the old magic instead of waiting for more header bytes.
-  ByteWriter w;
-  w.write_u32(0x4c435246);  // "LCRF"
-  w.write_u8(static_cast<std::uint8_t>(MsgType::kPing));
-  w.write_u32(12);
-  for (int i = 0; i < 12; ++i) w.write_u8(0);
-  Socket old_peer = connect_local(server.port());
-  old_peer.send_all(w.bytes().data(), w.bytes().size());
+  Socket hostile = connect_local(server.port());
+  hostile.send_all(bytes.data(), bytes.size());
   // The server hangs up without answering.
   bool closed = false;
   try {
     std::uint8_t byte = 0;
-    closed = old_peer.recv_some(&byte, 1, Deadline::after_ms(5000.0)) == 0;
+    closed = hostile.recv_some(&byte, 1, Deadline::after_ms(5000.0)) == 0;
   } catch (const TimeoutError&) {
     // still open: `closed` stays false
   } catch (const IoError&) {
@@ -1208,11 +1171,90 @@ TEST(EdgeServer, OldGenerationHeaderEndsOnlyThatConnection) {
 
   EXPECT_EQ(mismatches, 0);
   EXPECT_EQ(client.fallbacks(), 0);
-  for (int i = 0; i < 200 && server.stats().connection_errors < 1; ++i) {
+  for (int i = 0; i < 200 && server.connection_errors() < 1; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_EQ(server.stats().connection_errors, 1);
+  EXPECT_EQ(server.connection_errors(), 1);
   EXPECT_EQ(server.connections_accepted(), 2);
+}
+
+TEST(EdgeServer, OldGenerationHeaderEndsOnlyThatConnection) {
+  // A ping in the retired 9-byte "LCRF" header. Its 12-byte payload
+  // fills out the 21 bytes the server reads as one header, so the server
+  // sees the old magic instead of waiting for more header bytes.
+  ByteWriter w;
+  w.write_u32(0x4c435246);  // "LCRF"
+  w.write_u8(static_cast<std::uint8_t>(MsgType::kPing));
+  w.write_u32(12);
+  for (int i = 0; i < 12; ++i) w.write_u8(0);
+  expect_only_sender_dropped(w.bytes());
+}
+
+TEST(EdgeServer, RetiredShutdownTypeEndsOnlyThatConnection) {
+  // Frame type 4 was a client-sent shutdown that stopped the server for
+  // every peer. It is now an unknown type: only its sender is dropped.
+  std::vector<std::uint8_t> bytes = encode_frame(Frame{MsgType::kPing, {}});
+  bytes[4] = 4;  // the type byte follows the 4-byte magic
+  expect_only_sender_dropped(bytes);
+}
+
+TEST(EdgeServer, StopWhileWorkerLingersInBatchWindow) {
+  // A worker that popped a request waits up to max_wait_us for more
+  // arrivals, holding a reference into its model's queue. stop() must
+  // wake it without freeing that queue, and return promptly.
+  ServerOptions opts;
+  opts.num_workers = 1;
+  opts.max_wait_us = 2e6;  // 2 s: longer than the test waits for stop()
+  auto server =
+      std::make_unique<EdgeServer>(0, constant_completion(), opts);
+  // Two live connections and one request keep the early cut (every
+  // connection represented in the batch) from ending the window.
+  Socket sender = connect_local(server->port());
+  Socket idle = connect_local(server->port());
+  const auto gauge = [&](const char* name) {
+    const obs::Snapshot snap = server->metrics().snapshot();
+    const obs::GaugeSnapshot* g = snap.find_gauge(name);
+    return g != nullptr ? g->value : 0.0;
+  };
+  for (int i = 0;
+       i < 5000 && gauge(obs::names::kServerActiveConnections) < 2.0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(gauge(obs::names::kServerActiveConnections), 2.0);
+
+  sender.send_frame(Frame{MsgType::kCompleteRequest,
+                          make_complete_request(Tensor::ones(Shape{1, 1, 2, 2}))});
+  // The queue-depth gauge drops only when the batch is cut, while
+  // queue_depth() drops at the pop: gauge 1 with an empty queue means the
+  // worker holds the request and is parked in its window.
+  for (int i = 0; i < 5000 && !(gauge(obs::names::kServerQueueDepth) == 1.0 &&
+                                server->queue_depth() == 0);
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(gauge(obs::names::kServerQueueDepth), 1.0);
+  ASSERT_EQ(server->queue_depth(), 0);
+
+  EdgeServer* raw = server.get();
+  const bool stopped = finishes_within([raw] { raw->stop(); }, 5000);
+  EXPECT_TRUE(stopped) << "stop() hung with a worker in its batch window";
+  if (!stopped) {
+    (void)server.release();
+    return;
+  }
+  // The parked request is answered or its connection closed, never left
+  // hanging.
+  std::optional<Frame> reply;
+  try {
+    reply = sender.recv_frame(Deadline::after_ms(5000.0));
+  } catch (const TimeoutError&) {
+    FAIL() << "parked request neither answered nor closed";
+  } catch (const IoError&) {
+    // reset instead of FIN: closed
+  }
+  if (reply.has_value()) {
+    EXPECT_EQ(reply->type, MsgType::kCompleteResponse);
+  }
 }
 
 TEST(EdgeServer, StalledOversizedLengthClaimsDoNotPinMemory) {
@@ -1221,7 +1263,7 @@ TEST(EdgeServer, StalledOversizedLengthClaimsDoNotPinMemory) {
   const webinfer::WebModel browser_model =
       webinfer::export_browser_model(net, 1, 28, 28);
   const webinfer::Engine browser{browser_model};
-  auto server = std::make_unique<EdgeServer>(0, completion_for(net));
+  auto server = std::make_unique<EdgeServer>(0, main_branch_batch_completion(net));
   BrowserClient client(webinfer::Engine{browser_model}, core::ExitPolicy{0.0},
                        server->port());
   EXPECT_EQ(edge_mismatches(client, browser, net, rng, 2), 0);  // warm up
@@ -1263,7 +1305,7 @@ TEST(EdgeServer, StalledOversizedLengthClaimsDoNotPinMemory) {
     (void)server.release();
     return;
   }
-  EXPECT_EQ(server->stats().connection_errors, kStalled);
+  EXPECT_EQ(server->connection_errors(), kStalled);
 }
 
 }  // namespace

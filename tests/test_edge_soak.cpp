@@ -222,10 +222,10 @@ TEST(EdgeSoak, PoisonedBatchMemberFailsAlone) {
   expect_exact(warm, warm_shared);
 
   // The victim's failed reply is charged to ITS connection, nothing else.
-  for (int i = 0; i < 5000 && server.stats().connection_errors < 1; ++i) {
+  for (int i = 0; i < 5000 && server.connection_errors() < 1; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_GE(server.stats().connection_errors, 1);
+  EXPECT_GE(server.connection_errors(), 1);
   for (int i = 0; i < 500 && server.requests_served() < 3; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }

@@ -92,12 +92,11 @@ TEST(Pipeline, SocketAndSimulatedRuntimesAgreeOnDecisions) {
   Pipeline& p = pipeline();
   const core::ExitPolicy policy{p.result.exit_stats.tau};
 
-  edge::EdgeServer server(0, [&](const Tensor& shared) {
-    const Tensor logits = p.net->forward_main_from_shared(shared);
-    edge::CompleteResponse r;
-    r.probabilities = softmax_rows(logits);
-    r.label = argmax(r.probabilities);
-    return r;
+  // Unpacked on purpose: the later pipeline tests share p.net, and
+  // main_branch_batch_completion() would pack its weights in place.
+  edge::EdgeServer server(0, [&](const Tensor& batch) {
+    return edge::responses_from_probabilities(
+        softmax_rows(p.net->forward_main_from_shared(batch)));
   });
   edge::BrowserClient client(
       webinfer::Engine(webinfer::export_browser_model(*p.net, 1, 28, 28)),

@@ -231,7 +231,7 @@ TEST(ModelSwap, SwapUnderLoadNoDropsNoMisroutes) {
       << "retired model snapshots still pinned after the flood drained";
 
   server.stop();
-  EXPECT_EQ(server.stats().requests_served, total);
+  EXPECT_EQ(server.requests_served(), total);
 }
 
 /// A client whose model is evicted mid-flood keeps its connection and
@@ -281,7 +281,7 @@ TEST(ModelSwap, EvictionRejectsWithoutDroppingConnections) {
   EXPECT_EQ(reply->type, edge::MsgType::kCompleteResponse);
 
   server.stop();
-  EXPECT_EQ(server.stats().rejected_unknown_model, 1);
+  EXPECT_EQ(server.rejected_unknown_model(), 1);
 }
 
 }  // namespace

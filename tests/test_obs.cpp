@@ -160,30 +160,29 @@ TEST(RegistryTest, SnapshotFindTextJson) {
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
 }
 
-TEST(RegistryTest, MirroredInstrumentsUpdateBothSides) {
-  Registry local;
-  // Use a test-local name so parallel suites sharing the global registry
-  // cannot interfere.
-  const std::string name = "test.mirror.counter";
-  const std::int64_t before = Registry::global().counter(name).value();
-  MirroredCounter mc(local, name);
-  mc.add(2);
-  EXPECT_EQ(mc.value(), 2);
-  EXPECT_EQ(local.counter(name).value(), 2);
-  EXPECT_EQ(Registry::global().counter(name).value(), before + 2);
+TEST(RegistryTest, CombinedSnapshotMergesDisjointRegistries) {
+  Registry a;
+  Registry b;
+  a.counter("z.count").add(2);
+  b.counter("a.count").add(1);
+  b.gauge("m.depth").set(3.0);
+  a.histogram("q.lat_us").record(7.0);
+  const Snapshot s = combined_snapshot({&a, &b});
+  ASSERT_EQ(s.counters.size(), 2u);
+  EXPECT_EQ(s.counters[0].name, "a.count");  // sorted across registries
+  EXPECT_EQ(s.counters[1].name, "z.count");
+  EXPECT_EQ(s.counters[1].value, 2);
+  ASSERT_NE(s.find_gauge("m.depth"), nullptr);
+  ASSERT_NE(s.find_histogram("q.lat_us"), nullptr);
+  EXPECT_EQ(s.find_histogram("q.lat_us")->count, 1);
 
-  const std::string hname = "test.mirror.hist_us";
-  MirroredHistogram mh(local, hname);
-  mh.record(7.0);
-  EXPECT_EQ(mh.count(), 1);
-  EXPECT_DOUBLE_EQ(mh.sum(), 7.0);
-  EXPECT_GE(Registry::global().histogram(hname).count(), 1);
-
-  const std::string gname = "test.mirror.gauge";
-  MirroredGauge mg(local, gname);
-  mg.add(1.0);
-  mg.add(-1.0);
-  EXPECT_DOUBLE_EQ(mg.value(), 0.0);
+  // A name in two registries is a wiring bug, never a second series --
+  // also when the two instruments are of different kinds.
+  b.counter("z.count");
+  EXPECT_THROW(combined_snapshot({&a, &b}), Error);
+  Registry c;
+  c.gauge("q.lat_us");
+  EXPECT_THROW(combined_snapshot({&a, &c}), Error);
 }
 
 TEST(MetricNames, BuildersProduceValidNames) {

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,16 +31,6 @@ core::CompositeNetwork make_net(Rng& rng) {
   return core::CompositeNetwork::build(cfg, rng);
 }
 
-CompletionFn completion_for(core::CompositeNetwork& net) {
-  return [&net](const Tensor& shared) {
-    const Tensor logits = net.forward_main_from_shared(shared);
-    CompleteResponse r;
-    r.probabilities = softmax_rows(logits);
-    r.label = argmax(r.probabilities);
-    return r;
-  };
-}
-
 ServerOptions with_ops() {
   ServerOptions opts;
   opts.ops_port = 0;  // ephemeral side port
@@ -50,7 +41,7 @@ TEST(OpsHttp, LiveEndpointsServeAndReport) {
   obs::FlightRecorder::global().clear();
   Rng rng(11);
   core::CompositeNetwork net = make_net(rng);
-  EdgeServer server(0, completion_for(net), with_ops());
+  EdgeServer server(0, main_branch_batch_completion(net), with_ops());
   ASSERT_NE(server.ops_port(), 0);
 
   EXPECT_EQ(obs::http_get(server.ops_port(), "/healthz").body, "ok\n");
@@ -86,10 +77,72 @@ TEST(OpsHttp, LiveEndpointsServeAndReport) {
   server.stop();
 }
 
+/// Every sample line of a Prometheus body, cut before its value: the
+/// series name with its labels.
+std::vector<std::string> series_of(const std::string& body) {
+  std::vector<std::string> out;
+  std::istringstream lines(body);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    out.push_back(line.substr(0, line.rfind(' ')));
+  }
+  return out;
+}
+
+TEST(OpsHttp, EachServerExportsItsOwnCounts) {
+  // Two servers in one process: each ops plane reports the traffic its
+  // own server handled, not the process-wide sum, and no series appears
+  // twice within a body.
+  Rng rng(15);
+  core::CompositeNetwork net = make_net(rng);
+  const BatchCompletionFn complete = main_branch_batch_completion(net);
+  EdgeServer a(0, complete, with_ops());
+  EdgeServer b(0, complete, with_ops());
+  const Tensor shared = net.shared_stage().forward(
+      Tensor::randn(Shape{1, 1, 28, 28}, rng), false);
+  const auto send = [&](const EdgeServer& server, int n) {
+    Socket conn = connect_local(server.port());
+    for (int i = 0; i < n; ++i) {
+      conn.send_frame(Frame{MsgType::kCompleteRequest,
+                            make_complete_request(shared)});
+      const auto reply = conn.recv_frame();
+      ASSERT_TRUE(reply.has_value());
+      EXPECT_EQ(reply->type, MsgType::kCompleteResponse);
+    }
+  };
+  constexpr int kToA = 3;
+  constexpr int kToB = 5;
+  send(a, kToA);
+  send(b, kToB);
+  // A request is counted just after its reply goes out.
+  for (int i = 0; i < 2000 && (a.requests_served() < kToA ||
+                               b.requests_served() < kToB);
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  for (const auto& [server, n] :
+       {std::pair<const EdgeServer*, int>{&a, kToA}, {&b, kToB}}) {
+    const auto metrics = obs::http_get(server->ops_port(), "/metrics");
+    ASSERT_EQ(metrics.status, 200);
+    EXPECT_NE(metrics.body.find("\nlcrs_edge_server_requests " +
+                                std::to_string(n) + "\n"),
+              std::string::npos)
+        << "server with " << n << " requests";
+    std::vector<std::string> series = series_of(metrics.body);
+    std::sort(series.begin(), series.end());
+    const auto dup = std::adjacent_find(series.begin(), series.end());
+    EXPECT_TRUE(dup == series.end()) << "repeated series " << *dup;
+  }
+  b.stop();
+  a.stop();
+}
+
 TEST(OpsHttp, ReadinessFlipsDuringDrain) {
   Rng rng(12);
   core::CompositeNetwork net = make_net(rng);
-  EdgeServer server(0, completion_for(net), with_ops());
+  EdgeServer server(0, main_branch_batch_completion(net), with_ops());
 
   EXPECT_EQ(obs::http_get(server.ops_port(), "/readyz").status, 200);
   EXPECT_EQ(obs::http_get(server.ops_port(), "/readyz").body, "ready\n");
@@ -121,7 +174,7 @@ TEST(OpsHttp, ReadinessFlipsDuringDrain) {
 TEST(OpsHttp, HardenedAgainstGarbageAndFloods) {
   Rng rng(13);
   core::CompositeNetwork net = make_net(rng);
-  EdgeServer server(0, completion_for(net), with_ops());
+  EdgeServer server(0, main_branch_batch_completion(net), with_ops());
 
   {  // Raw garbage gets 400, and the server keeps serving afterwards.
     const Socket sock = connect_local(server.ops_port());
@@ -172,7 +225,7 @@ TEST(OpsHttp, BurstOf16ClientsStitchedTracezAndConformantMetrics) {
   ServerOptions opts = with_ops();
   opts.num_workers = 2;
   opts.max_batch = 8;
-  EdgeServer server(0, completion_for(net), opts);
+  EdgeServer server(0, main_branch_batch_completion(net), opts);
 
   constexpr int kClients = 16;
   constexpr int kRequestsEach = 4;

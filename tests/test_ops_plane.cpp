@@ -168,7 +168,7 @@ TEST(Prometheus, BucketsAreCumulativeAndInfEqualsCount) {
 
 OpsHooks fixture_hooks(const Registry* reg, const FlightRecorder* rec) {
   OpsHooks hooks;
-  hooks.registry = reg;
+  hooks.registries = {reg};
   hooks.recorder = rec;
   return hooks;
 }
@@ -189,6 +189,9 @@ TEST(OpsRespond, RoutesEveryEndpoint) {
   EXPECT_EQ(metrics.status, 200);
   EXPECT_EQ(metrics.content_type, "text/plain; version=0.0.4; charset=utf-8");
   EXPECT_NE(metrics.body.find("lcrs_edge_server_requests 7"),
+            std::string::npos);
+  // The hooks' registries render together with the global one.
+  EXPECT_NE(metrics.body.find("lcrs_process_uptime_seconds"),
             std::string::npos);
 
   const HttpResponse json = get("/metrics.json");
