@@ -40,12 +40,8 @@ int main() {
                                  net.binary_branch());
 
     const auto profiles = models::profile_layers(*mono, Shape{3, 32, 32});
-    const auto shared_prof =
-        models::profile_layers(net.shared_stage(), Shape{3, 32, 32});
-    const Shape shared_shape{net.shared_out_c(), net.shared_out_h(),
-                             net.shared_out_w()};
-    const auto branch_prof =
-        models::profile_layers(net.binary_branch(), shared_shape);
+    const baselines::LcrsModel lcrs =
+        baselines::profile_lcrs_model(net, Shape{3, 32, 32});
 
     const auto mb = [](std::int64_t b) {
       return static_cast<double>(b) / (1024.0 * 1024.0);
@@ -60,9 +56,7 @@ int main() {
                 cost.network().download_ms(int8_bytes),
                 cost.network().download_ms(bin_bytes),
                 cost.browser_compute_ms(profiles, 0, profiles.size()),
-                cost.browser_compute_ms(shared_prof, 0, shared_prof.size()) +
-                    cost.browser_compute_ms(branch_prof, 0,
-                                            branch_prof.size()));
+                lcrs.browser_forward_ms(cost));
   }
 
   bench::print_rule(104);

@@ -33,14 +33,8 @@ int main() {
     Rng rng(9);
     const models::ModelConfig cfg{arch, 3, 32, 32, 10, 1.0};
     core::CompositeNetwork net = core::CompositeNetwork::build(cfg, rng);
-    baselines::LcrsModel lm;
-    lm.shared = models::profile_layers(net.shared_stage(), Shape{3, 32, 32});
-    const Shape shared_shape{net.shared_out_c(), net.shared_out_h(),
-                             net.shared_out_w()};
-    lm.branch = models::profile_layers(net.binary_branch(), shared_shape);
-    lm.rest = models::profile_layers(net.main_rest(), shared_shape);
-    lm.input_elems = 3 * 32 * 32;
-    lm.shared_out_elems = shared_shape.numel();
+    baselines::LcrsModel lm =
+        baselines::profile_lcrs_model(net, Shape{3, 32, 32});
     lm.exit_fraction = 0.8;
 
     const auto mb = [](std::int64_t bytes) {

@@ -38,15 +38,9 @@ baselines::LcrsModel lcrs_model_for(models::Arch arch) {
   Rng rng(9);
   const models::ModelConfig cfg{arch, 3, 32, 32, 10, 1.0};
   core::CompositeNetwork net = core::CompositeNetwork::build(cfg, rng);
-  baselines::LcrsModel m;
+  baselines::LcrsModel m =
+      baselines::profile_lcrs_model(net, Shape{3, 32, 32});
   m.name = models::arch_name(arch);
-  m.shared = models::profile_layers(net.shared_stage(), Shape{3, 32, 32});
-  const Shape shared_shape{net.shared_out_c(), net.shared_out_h(),
-                           net.shared_out_w()};
-  m.branch = models::profile_layers(net.binary_branch(), shared_shape);
-  m.rest = models::profile_layers(net.main_rest(), shared_shape);
-  m.input_elems = 3 * 32 * 32;
-  m.shared_out_elems = shared_shape.numel();
   m.exit_fraction = paper_exit_fraction(arch);
   return m;
 }

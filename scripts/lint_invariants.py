@@ -59,6 +59,13 @@ Encodes rules no generic tool knows about this codebase:
                 retired Mirrored* dual-write instruments are banned
                 there, so a second write per event cannot creep back;
                 the ops plane adds the global registry at render time.
+  shared-kernel The float forward ops have one implementation each, in
+                src/tensor/forward_kernels.cpp, which both the nn eval
+                path and the webinfer engine call. A forward bias-add
+                loop (`+= bias...` / `+= bv`) or the ReLU / HardTanh
+                forward select (`x > 0.0f ? x : 0.0f`, `> 1.0f ? 1.0f`)
+                is banned in src/nn/ and src/webinfer/, so a second copy
+                of an op cannot creep back beside the kernel.
   wire-resize   Parser code in src/ may not size an allocation
                 (resize/reserve/container construction) from a value
                 read off the wire (ByteReader read_u32/u64/i64) without
@@ -159,6 +166,19 @@ SIMD_EXEMPT_FILES = {
 SINGLE_WRITE_FILES = re.compile(
     r"^src/edge/(?:server|client|model_registry)\.(?:h|cpp)$")
 SINGLE_WRITE_BANNED = re.compile(r"\bRegistry::global\s*\(|\bMirrored\w*")
+
+# shared-kernel: the directories that call the shared forward kernels,
+# and the loop bodies that belong only in tensor/forward_kernels.cpp. The
+# ReLU select needs the same operand on both sides, so the backward
+# select (`x > 0 ? grad : 0`) and ResidualBlock's own `if (x < 0)` ReLU
+# do not match.
+SHARED_KERNEL_DIRS = ("src/nn/", "src/webinfer/")
+SHARED_KERNEL_BANNED = [
+    (re.compile(r"\+=\s*(?:bias\w*|bv)\b"), "forward bias add"),
+    (re.compile(r"\b(\w+(?:\[\w+\])?)\s*>\s*0\.0f\s*\?\s*\1\s*:\s*0\.0f"),
+     "ReLU forward select"),
+    (re.compile(r">\s*1\.0f\s*\?\s*1\.0f\s*:"), "HardTanh forward select"),
+]
 
 # A `for` statement's opening; the header is then scanned for balanced
 # parentheses to find its condition.
@@ -413,6 +433,18 @@ class Linter:
                 "registry only (metrics_); the ops plane renders it with "
                 "the global one")
 
+    def lint_shared_kernel(self, path: Path, code: str) -> None:
+        if not path.relative_to(REPO).as_posix().startswith(
+                SHARED_KERNEL_DIRS):
+            return
+        for pattern, what in SHARED_KERNEL_BANNED:
+            for m in pattern.finditer(code):
+                line = code.count("\n", 0, m.start()) + 1
+                self.report(
+                    "shared-kernel", path, line,
+                    f"{what} -- call the shared kernel in "
+                    "tensor/forward_kernels.h instead of a local copy")
+
     def lint_fuzz_registration(self) -> None:
         fuzz_dir = REPO / "fuzz"
         cmake = fuzz_dir / "CMakeLists.txt"
@@ -477,6 +509,7 @@ class Linter:
                 self.lint_raw_sync(path, code)
                 self.lint_numel_loop(path, code)
                 self.lint_single_write(path, code)
+                self.lint_shared_kernel(path, code)
                 if not self.delegate_ast:
                     self.lint_wire_resize(path, code)
             if rel.startswith(("src/", "bench/")):

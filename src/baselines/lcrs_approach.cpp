@@ -13,24 +13,32 @@ std::int64_t LcrsModel::browser_model_bytes() const {
   return bytes;
 }
 
-namespace {
-
-double browser_forward_ms(const LcrsModel& m, const sim::CostModel& cost) {
-  return cost.browser_compute_ms(m.shared, 0, m.shared.size()) +
-         cost.browser_compute_ms(m.branch, 0, m.branch.size());
+double LcrsModel::browser_forward_ms(const sim::CostModel& cost) const {
+  return cost.browser_compute_ms(shared, 0, shared.size()) +
+         cost.browser_compute_ms(branch, 0, branch.size());
 }
 
-double collaborate_extra_ms(const LcrsModel& m, const sim::CostModel& cost,
-                            const sim::Scenario& scenario, double* comm_out) {
-  const std::int64_t upload_bytes = feature_map_wire_bytes(m.shared_out_elems);
-  const double up = cost.network().upload_ms(upload_bytes);
-  const double down = cost.network().download_ms(scenario.result_bytes);
-  const double edge = cost.edge_compute_ms(m.rest, 0, m.rest.size());
-  if (comm_out != nullptr) *comm_out = up + down;
-  return up + down + edge;
+double LcrsModel::edge_rest_ms(const sim::CostModel& cost) const {
+  return cost.edge_compute_ms(rest, 0, rest.size());
 }
 
-}  // namespace
+std::int64_t LcrsModel::upload_bytes() const {
+  return feature_map_wire_bytes(shared_out_elems);
+}
+
+LcrsModel profile_lcrs_model(core::CompositeNetwork& net,
+                             const Shape& sample_shape) {
+  LCRS_CHECK(sample_shape.rank() == 3, "sample_shape must be [C, H, W]");
+  const Shape shared_shape{net.shared_out_c(), net.shared_out_h(),
+                           net.shared_out_w()};
+  LcrsModel m;
+  m.shared = models::profile_layers(net.shared_stage(), sample_shape);
+  m.branch = models::profile_layers(net.binary_branch(), shared_shape);
+  m.rest = models::profile_layers(net.main_rest(), shared_shape);
+  m.input_elems = sample_shape.numel();
+  m.shared_out_elems = shared_shape.numel();
+  return m;
+}
 
 ApproachCost evaluate_lcrs(const LcrsModel& model, const sim::CostModel& cost,
                            const sim::Scenario& scenario) {
@@ -44,19 +52,15 @@ ApproachCost evaluate_lcrs(const LcrsModel& model, const sim::CostModel& cost,
   c.browser_model_bytes = model.browser_model_bytes();
   const double load = cost.network().download_ms(c.browser_model_bytes) / n;
 
-  const double browser_ms = browser_forward_ms(model, cost);
-  c.compute_ms = browser_ms;
-  double collab_comm = 0.0;
-  const double collab_total =
-      collaborate_extra_ms(model, cost, scenario, &collab_comm);
-  c.comm_ms = load + miss * collab_comm;
-  c.compute_ms += miss * (collab_total - collab_comm);
-  c.total_ms = c.comm_ms + c.compute_ms;
-
-  const std::int64_t upload_bytes =
-      feature_map_wire_bytes(model.shared_out_elems);
-  const double up = cost.network().upload_ms(upload_bytes);
+  // On an entropy miss: upload conv1's map, complete at the edge, reply.
+  const double browser_ms = model.browser_forward_ms(cost);
+  const double up = cost.network().upload_ms(model.upload_bytes());
   const double down = cost.network().download_ms(scenario.result_bytes);
+  const double collab_comm = up + down;
+  const double collab_total = up + down + model.edge_rest_ms(cost);
+  c.comm_ms = load + miss * collab_comm;
+  c.compute_ms = browser_ms + miss * (collab_total - collab_comm);
+  c.total_ms = c.comm_ms + c.compute_ms;
   c.device_energy_mj = cost.energy().compute_mj(browser_ms) +
                        cost.energy().tx_mj(miss * up) +
                        cost.energy().rx_mj(load + miss * down);
@@ -70,12 +74,14 @@ LcrsPathCosts lcrs_path_costs(const LcrsModel& model,
   const double n = static_cast<double>(scenario.session_samples);
   const double load =
       cost.network().download_ms(model.browser_model_bytes()) / n;
-  const double browser = browser_forward_ms(model, cost);
+  const double browser = model.browser_forward_ms(cost);
 
+  const double collab = cost.network().upload_ms(model.upload_bytes()) +
+                        cost.network().download_ms(scenario.result_bytes) +
+                        model.edge_rest_ms(cost);
   LcrsPathCosts p;
   p.exit_binary_ms = load + browser;
-  p.exit_main_ms =
-      load + browser + collaborate_extra_ms(model, cost, scenario, nullptr);
+  p.exit_main_ms = load + browser + collab;
   return p;
 }
 

@@ -6,6 +6,7 @@
 #pragma once
 
 #include "baselines/approach.h"
+#include "core/composite.h"
 
 namespace lcrs::baselines {
 
@@ -19,9 +20,20 @@ struct LcrsModel {
   std::int64_t shared_out_elems = 0;  // conv1 output tensor elements
   double exit_fraction = 0.8;         // measured P(exit at browser)
 
-  /// Bytes the browser downloads: float conv1 + packed binary branch.
+  /// Bytes the browser downloads: header, float conv1, packed branch.
   std::int64_t browser_model_bytes() const;
+  /// Per-sample browser compute: conv1 plus the binary branch.
+  double browser_forward_ms(const sim::CostModel& cost) const;
+  /// Per-sample edge compute of the main rest.
+  double edge_rest_ms(const sim::CostModel& cost) const;
+  /// Wire bytes of the conv1 feature map uploaded on an entropy miss.
+  std::int64_t upload_bytes() const;
 };
+
+/// Profiles `net`'s three stages for one [C, H, W] sample. The name and
+/// exit_fraction keep their defaults; callers fill them in.
+LcrsModel profile_lcrs_model(core::CompositeNetwork& net,
+                             const Shape& sample_shape);
 
 ApproachCost evaluate_lcrs(const LcrsModel& model, const sim::CostModel& cost,
                            const sim::Scenario& scenario);

@@ -4,7 +4,7 @@
 
 #include "binary/input_scale.h"
 #include "binary/xnor_gemm.h"
-#include "common/parallel.h"
+#include "tensor/forward_kernels.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
 
@@ -30,33 +30,16 @@ Tensor BinaryConv2d::reference_forward(const Tensor& input, bool train) {
                                   << " mismatches geometry");
   const std::int64_t n = input.dim(0);
   const std::int64_t oh = geom_.out_h(), ow = geom_.out_w();
-  const std::int64_t pixels = oh * ow;
-  const std::int64_t patch = geom_.patch_size();
-  const std::int64_t in_image = geom_.in_c * geom_.in_h * geom_.in_w;
-
   const Tensor sign_input = sign(input);
   const Tensor k = input_scale_K(input, geom_);
   BinarizedFilters bin = binarize_filters(weight_.value);
 
   Tensor out{Shape{n, out_c_, oh, ow}};
-  parallel_for(n, [&](std::int64_t b0, std::int64_t b1) {
-    std::vector<float> cols(static_cast<std::size_t>(patch * pixels));
-    for (std::int64_t b = b0; b < b1; ++b) {
-      // Pad with +1 (sign(0)) so this reference path agrees exactly with
-      // the bit-packed XNOR path, which has no zero symbol.
-      im2col(sign_input.data() + b * in_image, geom_, cols.data(),
-             /*pad_value=*/1.0f);
-      gemm(bin.sign.data(), cols.data(), out.data() + b * out_c_ * pixels,
-           out_c_, patch, pixels);
-      const float* kb = k.data() + b * pixels;
-      float* obase = out.data() + b * out_c_ * pixels;
-      for (std::int64_t oc = 0; oc < out_c_; ++oc) {
-        const float a = bin.alpha[oc];
-        float* orow = obase + oc * pixels;
-        for (std::int64_t p = 0; p < pixels; ++p) orow[p] *= a * kb[p];
-      }
-    }
-  });
+  // Pad with +1 (sign(0)) so this reference path agrees exactly with the
+  // bit-packed XNOR path, which has no zero symbol.
+  conv2d_forward(sign_input.data(), n, geom_, bin.sign.data(), out_c_,
+                 nullptr, out.data(), /*pad_value=*/1.0f);
+  apply_alpha_k(out.data(), n, out_c_, oh * ow, bin.alpha.data(), k.data());
 
   if (train) {
     cached_input_ = input;

@@ -2,6 +2,7 @@
 
 #include "binary/input_scale.h"
 #include "binary/xnor_gemm.h"
+#include "tensor/forward_kernels.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
 
@@ -29,18 +30,10 @@ Tensor BinaryLinear::forward(const Tensor& input, bool train) {
 
   Tensor out{Shape{n, out_}};
   gemm_bt(sign_input.data(), bin.sign.data(), out.data(), n, in_, out_);
-  const float* alpha = bin.alpha.data();
-  const float* bias = has_bias_ ? bias_.value.data() : nullptr;
-  for (std::int64_t b = 0; b < n; ++b) {
-    float* row = out.data() + b * out_;
-    const float bv = beta[b];
-    for (std::int64_t o = 0; o < out_; ++o) row[o] *= bv * alpha[o];
-    // A separate pass: the scaled value is rounded before the bias lands,
-    // whatever the compiler's FP-contraction setting.
-    if (bias != nullptr) {
-      for (std::int64_t o = 0; o < out_; ++o) row[o] += bias[o];
-    }
-  }
+  apply_alpha_k(out.data(), n, out_, 1, bin.alpha.data(), beta.data());
+  // A separate pass: the scaled value is rounded before the bias lands,
+  // whatever the compiler's FP-contraction setting.
+  if (has_bias_) add_row_bias(out.data(), n, out_, bias_.value.data());
 
   if (train) {
     cached_input_ = input;

@@ -69,4 +69,16 @@ Tensor input_scale_rows(const Tensor& input) {
   return beta;
 }
 
+void apply_alpha_k(float* out, std::int64_t n, std::int64_t channels,
+                   std::int64_t pixels, const float* alpha, const float* k) {
+  for (std::int64_t b = 0; b < n; ++b) {
+    const float* kb = k + b * pixels;
+    for (std::int64_t c = 0; c < channels; ++c) {
+      const float a = alpha[c];
+      float* row = out + (b * channels + c) * pixels;
+      for (std::int64_t p = 0; p < pixels; ++p) row[p] *= a * kb[p];
+    }
+  }
+}
+
 }  // namespace lcrs::binary

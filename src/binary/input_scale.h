@@ -19,4 +19,10 @@ Tensor input_scale_K(const Tensor& input, const ConvGeom& geom);
 /// FC analogue of K (beta in XNOR-Net). Returns [batch].
 Tensor input_scale_rows(const Tensor& input);
 
+/// XNOR-Net's output scaling, in place over an [n x channels x pixels]
+/// block: out[b][c][p] *= alpha[c] * k[b][p]. Convolutions pass K
+/// [n x pixels]; linear layers pass beta [n] with pixels = 1.
+void apply_alpha_k(float* out, std::int64_t n, std::int64_t channels,
+                   std::int64_t pixels, const float* alpha, const float* k);
+
 }  // namespace lcrs::binary

@@ -1,52 +1,16 @@
-// Int8 post-training quantization -- the classic compression alternative
-// the binary approach competes with (paper Sec. II-B frames binarization
-// against "effective compression methods"; this module lets the ablation
-// bench quantify binary-vs-int8 on equal footing).
-//
-// Symmetric per-filter quantization: W ~ scale * q with q in [-127, 127].
-// Forward-only: the ablation compares inference size/accuracy/latency,
-// not training.
+// Int8 payload accounting -- the classic compression alternative the
+// binary approach competes with (paper Sec. II-B frames binarization
+// against "effective compression methods"). The compression ablation
+// compares download sizes only, so this module prices a model stored as
+// symmetric per-filter int8 (one float scale per filter row) and runs no
+// int8 inference.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "nn/sequential.h"
-#include "tensor/im2col.h"
-#include "tensor/tensor.h"
 
 namespace lcrs::binary {
-
-/// A weight matrix quantized to int8 with one scale per outer filter.
-struct QuantizedFilters {
-  std::vector<std::int8_t> q;  // row-major, same element order as source
-  Tensor scale;                // [out], scale_i = max|W_i| / 127
-  std::int64_t rows = 0, cols = 0;
-
-  std::int64_t payload_bytes() const {
-    return static_cast<std::int64_t>(q.size()) + 4 * scale.numel();
-  }
-};
-
-/// Quantizes along the outermost dimension (one scale per filter row).
-QuantizedFilters quantize_filters(const Tensor& w);
-
-/// Reconstructs the float approximation scale * q.
-Tensor dequantize(const QuantizedFilters& qf);
-
-/// Largest absolute reconstruction error (for tests; bounded by scale/2
-/// per element, i.e. max|W_row| / 254).
-float quantization_error(const Tensor& w, const QuantizedFilters& qf);
-
-/// Int8 convolution: runs conv with dequantized-on-the-fly weights via
-/// integer accumulation per output filter. Input stays float (weights-only
-/// quantization, the standard deployment mode).
-Tensor int8_conv2d(const Tensor& input, const ConvGeom& geom,
-                   const QuantizedFilters& weights, const Tensor* bias);
-
-/// Int8 fully-connected layer: y = (x . scale*q^T) + bias.
-Tensor int8_linear(const Tensor& input, const QuantizedFilters& weights,
-                   const Tensor* bias);
 
 /// Serialized byte size of a whole model with conv/linear weights stored
 /// as int8 + scales and everything else float32 -- the int8 counterpart

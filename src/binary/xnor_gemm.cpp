@@ -6,6 +6,7 @@
 #include "common/error.h"
 #include "common/parallel.h"
 #include "common/simd.h"
+#include "tensor/forward_kernels.h"
 
 namespace lcrs::binary {
 
@@ -66,7 +67,6 @@ Tensor xnor_conv2d(const Tensor& input, const ConvGeom& geom,
   // clear between samples.
   std::vector<float> rows(static_cast<std::size_t>(pixels * patch));
   BitMatrix in_bits(pixels, patch);
-  Tensor prod{Shape{out_c, pixels}};
   for (std::int64_t b = 0; b < n; ++b) {
     const float* img = input.data() + b * in_image;
     // Lower patches pixel-major, then fuse binarize+bitpack in one pass.
@@ -74,21 +74,12 @@ Tensor xnor_conv2d(const Tensor& input, const ConvGeom& geom,
     // sign(0) = +1 convention the float-sign reference path uses.
     im2col_rows(img, geom, rows.data(), /*pad_value=*/0.0f);
     pack_signs(rows.data(), pixels, patch, &in_bits);
-
-    xnor_gemm(weight_bits, in_bits, prod.data());  // [out_c x pixels]
-    const float* kb = k.data() + b * pixels;
-    float* obase = out.data() + b * out_c * pixels;
-    for (std::int64_t oc = 0; oc < out_c; ++oc) {
-      const float a = alpha[oc];
-      const float* prow = prod.data() + oc * pixels;
-      float* orow = obase + oc * pixels;
-      // Same association order as the reference path (dot *= a * K) so
-      // the two paths are bit-identical, not merely close.
-      for (std::int64_t p = 0; p < pixels; ++p) {
-        orow[p] = prow[p] * (a * kb[p]);
-      }
-    }
+    // [out_c x pixels], straight into this sample's output block.
+    xnor_gemm(weight_bits, in_bits, out.data() + b * out_c * pixels);
   }
+  // The same scaling pass as the reference path, so the two are
+  // bit-identical, not merely close.
+  apply_alpha_k(out.data(), n, out_c, pixels, alpha.data(), k.data());
   return out;
 }
 
@@ -103,17 +94,9 @@ Tensor xnor_linear(const Tensor& input, const BitMatrix& weight_bits,
   const BitMatrix in_bits = BitMatrix::pack(input.data(), n, input.dim(1));
 
   Tensor y = xnor_matmul(in_bits, weight_bits);  // [n x out]
-  const float* a = alpha.data();
-  const float* bias_row = bias != nullptr ? bias->data() : nullptr;
-  for (std::int64_t b = 0; b < n; ++b) {
-    float* row = y.data() + b * out;
-    const float bv = beta[b];
-    for (std::int64_t o = 0; o < out; ++o) row[o] *= bv * a[o];
-    // Separate pass, as in BinaryLinear::forward: scale rounds, then bias.
-    if (bias_row != nullptr) {
-      for (std::int64_t o = 0; o < out; ++o) row[o] += bias_row[o];
-    }
-  }
+  apply_alpha_k(y.data(), n, out, 1, alpha.data(), beta.data());
+  // Separate pass, as in BinaryLinear::forward: scale rounds, then bias.
+  if (bias != nullptr) add_row_bias(y.data(), n, out, bias->data());
   return y;
 }
 

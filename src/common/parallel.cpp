@@ -17,9 +17,14 @@ namespace {
 
 std::atomic<int> g_threads{0};  // 0 = auto
 
+// Read once: hardware_concurrency() reads sysfs on every call (about 4 us
+// with glibc 2.36), and parallel_for asks on every call, batch-1 ones too.
 int hardware_threads() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
+  static const int hw = [] {
+    const unsigned n = std::thread::hardware_concurrency();
+    return n == 0 ? 1 : static_cast<int>(n);
+  }();
+  return hw;
 }
 
 using Fn = std::function<void(std::int64_t, std::int64_t)>;

@@ -30,11 +30,6 @@ InferenceResult collaborative_infer(CompositeNetwork& net,
                                     const ExitPolicy& policy,
                                     const Tensor& sample);
 
-/// Batched variant: per-sample decisions over [N, C, H, W]; samples that
-/// miss the threshold are completed through the main branch together.
-std::vector<InferenceResult> collaborative_infer_batch(
-    CompositeNetwork& net, const ExitPolicy& policy, const Tensor& batch);
-
 /// One batched edge-side completion: conv1 feature maps from k requests,
 /// stacked [k, C, H, W], finished through the main branch in a single
 /// Sequential forward. Row i of `probabilities` / `labels` is

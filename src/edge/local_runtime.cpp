@@ -2,37 +2,17 @@
 
 #include "common/obs/metric_names.h"
 #include "common/obs/metrics.h"
-#include "models/accounting.h"
-#include "tensor/serialize.h"
 
 namespace lcrs::edge {
 
 LocalRuntime::LocalRuntime(core::CompositeNetwork& net,
                            core::ExitPolicy policy, sim::CostModel cost,
                            const Shape& sample_shape, sim::Scenario scenario)
-    : net_(net), policy_(policy), cost_(std::move(cost)),
-      scenario_(scenario) {
-  LCRS_CHECK(sample_shape.rank() == 3, "sample_shape must be [C, H, W]");
-  const auto shared_prof =
-      models::profile_layers(net.shared_stage(), sample_shape);
-  const Shape shared_shape{net.shared_out_c(), net.shared_out_h(),
-                           net.shared_out_w()};
-  const auto branch_prof =
-      models::profile_layers(net.binary_branch(), shared_shape);
-  const auto rest_prof = models::profile_layers(net.main_rest(), shared_shape);
-
-  browser_forward_ms_ =
-      cost_.browser_compute_ms(shared_prof, 0, shared_prof.size()) +
-      cost_.browser_compute_ms(branch_prof, 0, branch_prof.size());
-  edge_rest_ms_ = cost_.edge_compute_ms(rest_prof, 0, rest_prof.size());
-  upload_bytes_ = feature_map_wire_bytes(shared_shape.numel());
-
-  browser_model_bytes_ = 8;
-  for (const auto& l : shared_prof) browser_model_bytes_ += l.param_bytes;
-  for (const auto& l : branch_prof) {
-    browser_model_bytes_ += l.is_binary ? l.binary_bytes : l.param_bytes;
-  }
-}
+    : net_(net),
+      policy_(policy),
+      cost_(std::move(cost)),
+      scenario_(scenario),
+      profile_(baselines::profile_lcrs_model(net, sample_shape)) {}
 
 SimStep LocalRuntime::classify(const Tensor& sample, Rng& rng) {
   const core::InferenceResult r =
@@ -42,10 +22,11 @@ SimStep LocalRuntime::classify(const Tensor& sample, Rng& rng) {
   step.label = r.predicted;
   step.exit_point = r.exit_point;
   step.entropy = r.entropy;
-  step.browser_ms = browser_forward_ms_;
+  step.browser_ms = profile_.browser_forward_ms(cost_);
   if (r.exit_point == core::ExitPoint::kMainBranch) {
-    step.upload_ms = cost_.network().upload_ms_jittered(upload_bytes_, rng);
-    step.edge_ms = edge_rest_ms_;
+    step.upload_ms =
+        cost_.network().upload_ms_jittered(profile_.upload_bytes(), rng);
+    step.edge_ms = profile_.edge_rest_ms(cost_);
     step.download_ms =
         cost_.network().download_ms_jittered(scenario_.result_bytes, rng);
   }
@@ -65,7 +46,7 @@ SimStep LocalRuntime::classify(const Tensor& sample, Rng& rng) {
 }
 
 double LocalRuntime::amortized_load_ms() const {
-  return cost_.network().download_ms(browser_model_bytes_) /
+  return cost_.network().download_ms(profile_.browser_model_bytes()) /
          static_cast<double>(scenario_.session_samples);
 }
 

@@ -7,6 +7,7 @@
 // equivalent of the paper's Mate9-plus-X3640M4 testbed.
 #pragma once
 
+#include "baselines/lcrs_approach.h"
 #include "core/composite.h"
 #include "core/inference.h"
 #include "sim/cost_model.h"
@@ -42,17 +43,16 @@ class LocalRuntime {
   /// Amortized model-load cost per sample for this runtime's session.
   double amortized_load_ms() const;
 
-  std::int64_t browser_model_bytes() const { return browser_model_bytes_; }
+  std::int64_t browser_model_bytes() const {
+    return profile_.browser_model_bytes();
+  }
 
  private:
   core::CompositeNetwork& net_;
   core::ExitPolicy policy_;
   sim::CostModel cost_;
   sim::Scenario scenario_;
-  double browser_forward_ms_ = 0.0;  // conv1 + branch, per sample
-  double edge_rest_ms_ = 0.0;        // main rest, per sample
-  std::int64_t upload_bytes_ = 0;    // conv1 tensor wire size
-  std::int64_t browser_model_bytes_ = 0;
+  baselines::LcrsModel profile_;  // the three stages, priced by cost_
 };
 
 }  // namespace lcrs::edge

@@ -413,6 +413,9 @@ void EdgeServer::serve_request_queued(
       completion_error = slot->error;
     }
   }
+  // stop() began while the request waited: it has shut the peer socket
+  // down, so there is no one to answer. Close quietly, as at admission.
+  if (stopping_.load()) return;
   if (!completed_ok) {
     // Recorded outside the slot lock: the recorder mutex stays a leaf
     // acquired with no other lock held.

@@ -3,20 +3,18 @@
 #include <cmath>
 
 #include "common/simd_math.h"
+#include "tensor/forward_kernels.h"
 
 namespace lcrs::nn {
 
-// Every loop below runs over hoisted data() spans: one shape check per
-// call, none per element, so the compiler can vectorize the select. The
-// formulas are the reference ones (ReLU maps NaN and -0 to +0; HardTanh
-// passes NaN through), evaluated per element in the same order.
+// The ReLU and HardTanh forwards are the shared kernels in
+// tensor/forward_kernels.h, which the browser engine runs too. The
+// backward loops run over hoisted data() spans: one shape check per call,
+// none per element, so the compiler can vectorize them.
 
 Tensor ReLU::forward(const Tensor& input, bool train) {
   Tensor out(input.shape());
-  const float* x = input.data();
-  float* y = out.data();
-  const std::int64_t n = input.numel();
-  for (std::int64_t i = 0; i < n; ++i) y[i] = x[i] > 0.0f ? x[i] : 0.0f;
+  relu_forward(input.data(), out.data(), input.numel());
   if (train) cached_input_ = input;
   return out;
 }
@@ -57,12 +55,7 @@ Tensor Tanh::backward(const Tensor& grad_output) {
 
 Tensor HardTanh::forward(const Tensor& input, bool train) {
   Tensor out(input.shape());
-  const float* x = input.data();
-  float* y = out.data();
-  const std::int64_t n = input.numel();
-  for (std::int64_t i = 0; i < n; ++i) {
-    y[i] = x[i] > 1.0f ? 1.0f : (x[i] < -1.0f ? -1.0f : x[i]);
-  }
+  hardtanh_forward(input.data(), out.data(), input.numel());
   if (train) cached_input_ = input;
   return out;
 }

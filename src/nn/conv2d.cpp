@@ -2,7 +2,7 @@
 
 #include <vector>
 
-#include "common/parallel.h"
+#include "tensor/forward_kernels.h"
 #include "tensor/gemm.h"
 
 namespace lcrs::nn {
@@ -30,21 +30,12 @@ Tensor Conv2d::forward(const Tensor& input, bool train) {
                              << " does not match geometry C=" << geom_.in_c
                              << " H=" << geom_.in_h << " W=" << geom_.in_w);
   const std::int64_t n = input.dim(0);
-  const std::int64_t oh = geom_.out_h(), ow = geom_.out_w();
-  const std::int64_t pixels = oh * ow;
+  const std::int64_t pixels = geom_.out_h() * geom_.out_w();
   const std::int64_t patch = geom_.patch_size();
   const std::int64_t in_image = geom_.in_c * geom_.in_h * geom_.in_w;
 
-  Tensor out{Shape{n, out_c_, oh, ow}};
-  const auto add_bias = [&](std::int64_t b) {
-    if (!has_bias_) return;
-    float* obase = out.data() + b * out_c_ * pixels;
-    for (std::int64_t oc = 0; oc < out_c_; ++oc) {
-      const float bv = bias_.value[oc];
-      float* orow = obase + oc * pixels;
-      for (std::int64_t p = 0; p < pixels; ++p) orow[p] += bv;
-    }
-  };
+  Tensor out{output_shape(n)};
+  const float* bias = has_bias_ ? bias_.value.data() : nullptr;
 
   if (!train && packed_fresh_) {
     // Prepared serving path: lower the whole batch in one im2col pass,
@@ -62,25 +53,18 @@ Tensor Conv2d::forward(const Tensor& input, bool train) {
       im2col_batch(input.data() + s0 * in_image, s1 - s0, geom_,
                    cols.data());
       for (std::int64_t b = s0; b < s1; ++b) {
-        gemm_packed_a(packed_weight_, cols.data() + (b - s0) * block,
-                      out.data() + b * out_c_ * pixels, pixels);
-        add_bias(b);
+        float* ob = out.data() + b * out_c_ * pixels;
+        gemm_packed_a(packed_weight_, cols.data() + (b - s0) * block, ob,
+                      pixels);
+        if (bias != nullptr) add_channel_bias(ob, out_c_, pixels, bias);
       }
     }
     return out;
   }
 
-  parallel_for(n, [&](std::int64_t b0, std::int64_t b1) {
-    std::vector<float> cols(static_cast<std::size_t>(patch * pixels));
-    for (std::int64_t b = b0; b < b1; ++b) {
-      im2col(input.data() + b * in_image, geom_, cols.data());
-      // out[b] = W[out_c x patch] * cols[patch x pixels]
-      gemm(weight_.value.data(), cols.data(),
-           out.data() + b * out_c_ * pixels, out_c_, patch, pixels);
-      add_bias(b);
-    }
-  });
-
+  // out[b] = W[out_c x patch] * cols[patch x pixels] (+ bias)
+  conv2d_forward(input.data(), n, geom_, weight_.value.data(), out_c_, bias,
+                 out.data());
   if (train) cached_input_ = input;
   return out;
 }

@@ -1,5 +1,6 @@
 #include "nn/linear.h"
 
+#include "tensor/forward_kernels.h"
 #include "tensor/gemm.h"
 
 namespace lcrs::nn {
@@ -28,13 +29,7 @@ Tensor Linear::forward(const Tensor& input, bool train) {
   } else {
     gemm_bt(input.data(), weight_.value.data(), out.data(), n, in_, out_);
   }
-  if (has_bias_) {
-    const float* bias = bias_.value.data();
-    for (std::int64_t b = 0; b < n; ++b) {
-      float* row = out.data() + b * out_;
-      for (std::int64_t o = 0; o < out_; ++o) row[o] += bias[o];
-    }
-  }
+  if (has_bias_) add_row_bias(out.data(), n, out_, bias_.value.data());
   if (train) cached_input_ = input;
   return out;
 }

@@ -1,6 +1,6 @@
 #include "nn/pooling.h"
 
-#include <limits>
+#include "tensor/forward_kernels.h"
 
 namespace lcrs::nn {
 
@@ -8,35 +8,6 @@ namespace {
 std::int64_t pooled_extent(std::int64_t in, std::int64_t k, std::int64_t s) {
   LCRS_CHECK(in >= k, "pool window " << k << " larger than input " << in);
   return (in - k) / s + 1;
-}
-
-// One output plane of max pooling. kTrack records the flat input index
-// of each window's maximum (training needs it for backward); eval skips
-// that bookkeeping entirely.
-template <bool kTrack>
-void maxpool_plane(const float* plane, std::int64_t plane_base,
-                   std::int64_t w, std::int64_t oh, std::int64_t ow,
-                   std::int64_t kernel, std::int64_t stride, float* out,
-                   std::int64_t* argmax) {
-  for (std::int64_t y = 0; y < oh; ++y) {
-    for (std::int64_t x = 0; x < ow; ++x) {
-      float best = -std::numeric_limits<float>::infinity();
-      [[maybe_unused]] std::int64_t best_idx = 0;
-      for (std::int64_t ky = 0; ky < kernel; ++ky) {
-        const float* row = plane + (y * stride + ky) * w + x * stride;
-        for (std::int64_t kx = 0; kx < kernel; ++kx) {
-          if (row[kx] > best) {
-            best = row[kx];
-            if constexpr (kTrack) {
-              best_idx = plane_base + (y * stride + ky) * w + x * stride + kx;
-            }
-          }
-        }
-      }
-      out[y * ow + x] = best;
-      if constexpr (kTrack) argmax[y * ow + x] = best_idx;
-    }
-  }
 }
 }  // namespace
 
@@ -56,17 +27,8 @@ Tensor MaxPool2d::forward(const Tensor& input, bool train) {
     input_shape_ = input.shape();
     argmax_.assign(static_cast<std::size_t>(out.numel()), 0);
   }
-  for (std::int64_t p = 0; p < n * c; ++p) {
-    const float* plane = input.data() + p * h * w;
-    float* dst = out.data() + p * oh * ow;
-    if (train) {
-      maxpool_plane<true>(plane, p * h * w, w, oh, ow, kernel_, stride_, dst,
-                          argmax_.data() + p * oh * ow);
-    } else {
-      maxpool_plane<false>(plane, 0, w, oh, ow, kernel_, stride_, dst,
-                           nullptr);
-    }
-  }
+  maxpool_forward(input.data(), n * c, h, w, kernel_, stride_, out.data(),
+                  train ? argmax_.data() : nullptr);
   return out;
 }
 
@@ -148,18 +110,9 @@ Tensor AvgPool2d::backward(const Tensor& grad_output) {
 
 Tensor GlobalAvgPool::forward(const Tensor& input, bool train) {
   LCRS_CHECK(input.rank() == 4, "gap expects NCHW");
-  const std::int64_t n = input.dim(0), c = input.dim(1);
-  const std::int64_t plane = input.dim(2) * input.dim(3);
-  const float inv = 1.0f / static_cast<float>(plane);
-  Tensor out{Shape{n, c}};
-  for (std::int64_t b = 0; b < n; ++b) {
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      const float* p = input.data() + (b * c + ch) * plane;
-      float acc = 0.0f;
-      for (std::int64_t i = 0; i < plane; ++i) acc += p[i];
-      out.at2(b, ch) = acc * inv;
-    }
-  }
+  Tensor out{Shape{input.dim(0), input.dim(1)}};
+  global_avg_pool_forward(input.data(), input.dim(0) * input.dim(1),
+                          input.dim(2) * input.dim(3), out.data());
   if (train) input_shape_ = input.shape();
   return out;
 }

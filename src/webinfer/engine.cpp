@@ -1,15 +1,12 @@
 #include "webinfer/engine.h"
 
-#include <algorithm>
-#include <limits>
-#include <vector>
-
 #include "binary/xnor_gemm.h"
 #include "common/numerics.h"
 #include "common/obs/metric_names.h"
 #include "common/obs/metrics.h"
 #include "common/simd_math.h"
 #include "common/stopwatch.h"
+#include "tensor/forward_kernels.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
 
@@ -32,27 +29,9 @@ Tensor run_conv(const Conv2dOp& op, const Tensor& x) {
   LCRS_CHECK(x.rank() == 4 && x.dim(1) == g.in_c && x.dim(2) == g.in_h &&
                  x.dim(3) == g.in_w,
              "conv op input mismatch: " << x.shape().to_string());
-  const std::int64_t n = x.dim(0);
-  const std::int64_t oh = g.out_h(), ow = g.out_w();
-  const std::int64_t pixels = oh * ow;
-  const std::int64_t patch = g.patch_size();
-  const std::int64_t in_image = g.in_c * g.in_h * g.in_w;
-
-  Tensor out{Shape{n, op.out_c, oh, ow}};
-  std::vector<float> cols(static_cast<std::size_t>(patch * pixels));
-  for (std::int64_t b = 0; b < n; ++b) {
-    im2col(x.data() + b * in_image, g, cols.data());
-    gemm(op.weight.data(), cols.data(), out.data() + b * op.out_c * pixels,
-         op.out_c, patch, pixels);
-    if (op.has_bias) {
-      float* obase = out.data() + b * op.out_c * pixels;
-      for (std::int64_t oc = 0; oc < op.out_c; ++oc) {
-        const float bv = op.bias[oc];
-        float* orow = obase + oc * pixels;
-        for (std::int64_t p = 0; p < pixels; ++p) orow[p] += bv;
-      }
-    }
-  }
+  Tensor out{Shape{x.dim(0), op.out_c, g.out_h(), g.out_w()}};
+  conv2d_forward(x.data(), x.dim(0), g, op.weight.data(), op.out_c,
+                 op.has_bias ? op.bias.data() : nullptr, out.data());
   return out;
 }
 
@@ -61,13 +40,7 @@ Tensor run_linear(const LinearOp& op, const Tensor& x) {
   const std::int64_t n = x.dim(0);
   Tensor out{Shape{n, op.out}};
   gemm_bt(x.data(), op.weight.data(), out.data(), n, op.in, op.out);
-  if (op.has_bias) {
-    const float* bias = op.bias.data();
-    for (std::int64_t b = 0; b < n; ++b) {
-      float* row = out.data() + b * op.out;
-      for (std::int64_t o = 0; o < op.out; ++o) row[o] += bias[o];
-    }
-  }
+  if (op.has_bias) add_row_bias(out.data(), n, op.out, op.bias.data());
   return out;
 }
 
@@ -88,9 +61,9 @@ Tensor run_batchnorm(const BatchNormOp& op, const Tensor& x) {
   return out;
 }
 
-// Activations run in place on the runner's own tensor, over one hoisted
-// span. ReLU and HardTanh are the reference per-element formulas (ReLU
-// maps NaN and -0 to +0). Tanh goes through simd::tanh_inplace, the kernel
+// Activations run in place on the runner's own tensor through the shared
+// forward kernels (tensor/forward_kernels.h), the same loops nn::ReLU and
+// nn::HardTanh run. Tanh goes through simd::tanh_inplace, the kernel
 // nn::Tanh uses: exact std::tanh at the scalar dispatch level
 // (LCRS_SIMD=scalar), within 1e-6 absolute of it at AVX2 (DESIGN.md
 // sect. 13). It is elementwise-pure, so batch == single still holds.
@@ -99,15 +72,13 @@ void run_activation(const ActivationOp& op, Tensor& x) {
   const std::int64_t n = x.numel();
   switch (op.kind) {
     case ActivationOp::Kind::kReLU:
-      for (std::int64_t i = 0; i < n; ++i) p[i] = p[i] > 0.0f ? p[i] : 0.0f;
+      relu_forward(p, p, n);
       break;
     case ActivationOp::Kind::kTanh:
       simd::tanh_inplace(p, n);
       break;
     case ActivationOp::Kind::kHardTanh:
-      for (std::int64_t i = 0; i < n; ++i) {
-        p[i] = p[i] > 1.0f ? 1.0f : (p[i] < -1.0f ? -1.0f : p[i]);
-      }
+      hardtanh_forward(p, p, n);
       break;
   }
 }
@@ -119,39 +90,15 @@ Tensor run_maxpool(const MaxPoolOp& op, const Tensor& x) {
   const std::int64_t ow = (w - op.kernel) / op.stride + 1;
   LCRS_CHECK(oh >= 1 && ow >= 1, "maxpool op output is empty");
   Tensor out{Shape{n, c, oh, ow}};
-  float* dst = out.data();
-  for (std::int64_t p = 0; p < n * c; ++p) {
-    const float* plane = x.data() + p * h * w;
-    for (std::int64_t y = 0; y < oh; ++y) {
-      for (std::int64_t xx = 0; xx < ow; ++xx) {
-        float best = -std::numeric_limits<float>::infinity();
-        for (std::int64_t ky = 0; ky < op.kernel; ++ky) {
-          const float* row = plane + (y * op.stride + ky) * w + xx * op.stride;
-          for (std::int64_t kx = 0; kx < op.kernel; ++kx) {
-            best = std::max(best, row[kx]);
-          }
-        }
-        *dst++ = best;
-      }
-    }
-  }
+  maxpool_forward(x.data(), n * c, h, w, op.kernel, op.stride, out.data());
   return out;
 }
 
 Tensor run_gap(const Tensor& x) {
   LCRS_CHECK(x.rank() == 4, "gap op expects NCHW");
-  const std::int64_t n = x.dim(0), c = x.dim(1);
-  const std::int64_t plane = x.dim(2) * x.dim(3);
-  const float inv = 1.0f / static_cast<float>(plane);
-  Tensor out{Shape{n, c}};
-  for (std::int64_t b = 0; b < n; ++b) {
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      const float* p = x.data() + (b * c + ch) * plane;
-      float acc = 0.0f;
-      for (std::int64_t i = 0; i < plane; ++i) acc += p[i];
-      out.at2(b, ch) = acc * inv;
-    }
-  }
+  Tensor out{Shape{x.dim(0), x.dim(1)}};
+  global_avg_pool_forward(x.data(), x.dim(0) * x.dim(1), x.dim(2) * x.dim(3),
+                          out.data());
   return out;
 }
 

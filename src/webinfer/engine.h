@@ -3,9 +3,11 @@
 // This is the C++ core the paper compiles to JavaScript/WASM with
 // Emscripten (Fig. 3): it has no dependency on the training framework --
 // only the tensor math and the XNOR kernels -- and runs the conv1 +
-// binary-branch slice on the "browser". Outputs are validated against the
-// training framework's inference in tests (the paper validates against
-// PyTorch the same way).
+// binary-branch slice on the "browser". Its float ops (conv, linear bias,
+// ReLU, HardTanh, max pooling, GAP) call the same kernels as the
+// framework's layers (tensor/forward_kernels.h), so its outputs match the
+// framework's inference byte for byte; tests check it op by op (the paper
+// validates against PyTorch the same way).
 #pragma once
 
 #include "webinfer/format.h"

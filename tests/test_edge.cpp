@@ -1255,6 +1255,8 @@ TEST(EdgeServer, StopWhileWorkerLingersInBatchWindow) {
   if (reply.has_value()) {
     EXPECT_EQ(reply->type, MsgType::kCompleteResponse);
   }
+  // An operator stop is not a client error.
+  EXPECT_EQ(raw->connection_errors(), 0);
 }
 
 TEST(EdgeServer, StalledOversizedLengthClaimsDoNotPinMemory) {

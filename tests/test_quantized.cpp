@@ -1,89 +1,13 @@
-// Tests of the int8 quantization module (the compression alternative the
+// Tests of the int8 payload accounting (the compression alternative the
 // binary branch is compared against).
 #include <gtest/gtest.h>
 
 #include "binary/quantized.h"
 #include "models/accounting.h"
 #include "models/zoo.h"
-#include "nn/conv2d.h"
-#include "nn/linear.h"
-#include "tensor/tensor_ops.h"
 
 namespace lcrs::binary {
 namespace {
-
-TEST(Quantize, RoundTripErrorIsBoundedByHalfStep) {
-  Rng rng(1);
-  const Tensor w = Tensor::randn(Shape{8, 64}, rng);
-  const QuantizedFilters qf = quantize_filters(w);
-  // Max error per row <= scale / 2.
-  for (std::int64_t r = 0; r < 8; ++r) {
-    const Tensor row = w.slice_outer(r, r + 1);
-    const QuantizedFilters qrow = quantize_filters(row);
-    EXPECT_LE(quantization_error(row, qrow), qrow.scale[0] * 0.5f + 1e-7f);
-  }
-  EXPECT_LE(quantization_error(w, qf), max_value(qf.scale) * 0.5f + 1e-7f);
-}
-
-TEST(Quantize, ExtremesMapTo127) {
-  Tensor w{Shape{1, 4}};
-  w[0] = 2.0f; w[1] = -2.0f; w[2] = 1.0f; w[3] = 0.0f;
-  const QuantizedFilters qf = quantize_filters(w);
-  EXPECT_EQ(qf.q[0], 127);
-  EXPECT_EQ(qf.q[1], -127);
-  EXPECT_EQ(qf.q[3], 0);
-  EXPECT_FLOAT_EQ(qf.scale[0], 2.0f / 127.0f);
-}
-
-TEST(Quantize, ZeroFilterIsStable) {
-  const Tensor w{Shape{2, 8}};  // all zeros
-  const QuantizedFilters qf = quantize_filters(w);
-  EXPECT_EQ(quantization_error(w, qf), 0.0f);
-}
-
-TEST(Quantize, PayloadIsRoughly4xSmallerThanFloat) {
-  Rng rng(2);
-  const Tensor w = Tensor::randn(Shape{64, 576}, rng);
-  const QuantizedFilters qf = quantize_filters(w);
-  const std::int64_t float_bytes = w.numel() * 4;
-  EXPECT_GT(float_bytes, qf.payload_bytes() * 3);
-  EXPECT_LT(float_bytes, qf.payload_bytes() * 5);
-}
-
-TEST(Int8Conv, CloseToFloatConv) {
-  Rng rng(3);
-  nn::Conv2d conv(3, 8, 3, 1, 1, 12, 12, rng);
-  const Tensor x = Tensor::randn(Shape{2, 3, 12, 12}, rng);
-  const Tensor ref = conv.forward(x, false);
-
-  const QuantizedFilters qf = quantize_filters(conv.weight().value);
-  const Tensor q_out =
-      int8_conv2d(x, conv.geometry(), qf, &conv.bias_param().value);
-  EXPECT_EQ(q_out.shape(), ref.shape());
-  // Int8 weights lose < 1% of the activation scale.
-  EXPECT_LT(max_abs_diff(ref, q_out), 0.05f);
-  // And predictions (argmax over channels at each pixel) mostly agree --
-  // spot-check the first pixel of each image.
-  for (std::int64_t b = 0; b < 2; ++b) {
-    std::int64_t ref_best = 0, q_best = 0;
-    for (std::int64_t c = 1; c < 8; ++c) {
-      if (ref.at4(b, c, 0, 0) > ref.at4(b, ref_best, 0, 0)) ref_best = c;
-      if (q_out.at4(b, c, 0, 0) > q_out.at4(b, q_best, 0, 0)) q_best = c;
-    }
-    EXPECT_EQ(ref_best, q_best);
-  }
-}
-
-TEST(Int8Linear, CloseToFloatLinear) {
-  Rng rng(4);
-  nn::Linear lin(32, 10, rng);
-  const Tensor x = Tensor::randn(Shape{4, 32}, rng);
-  const Tensor ref = lin.forward(x, false);
-  const QuantizedFilters qf = quantize_filters(lin.weight().value);
-  const Tensor q_out = int8_linear(x, qf, &lin.bias_param().value);
-  EXPECT_LT(max_abs_diff(ref, q_out), 0.05f);
-  EXPECT_EQ(argmax_rows(ref), argmax_rows(q_out));
-}
 
 TEST(Int8Payload, RoughlyQuartersAFullPrecisionModel) {
   Rng rng(5);

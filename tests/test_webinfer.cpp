@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,9 @@
 #include "core/composite.h"
 #include "core/joint_trainer.h"
 #include "data/synthetic.h"
+#include "nn/activations.h"
+#include "nn/conv2d.h"
+#include "nn/linear.h"
 #include "nn/pooling.h"
 #include "tensor/tensor_ops.h"
 #include "webinfer/engine.h"
@@ -176,16 +180,16 @@ TEST(Engine, PredictProbabilitiesSumToOne) {
 // --- Elementwise ops over raw spans ---
 //
 // A one-op engine isolates each op: forward_shared() returns the op's
-// output without the logits-shape check.
+// output without the logits-shape check. Every op is in the shared stage.
 
-Engine single_op_engine(Op op, const Shape& input) {
+Engine shared_stage_engine(std::vector<Op> ops, const Shape& input) {
   WebModel m;
   m.in_c = input[1];
   m.in_h = input[2];
   m.in_w = input[3];
   m.num_classes = 1;
-  m.shared_op_count = 1;
-  m.ops.push_back(std::move(op));
+  m.shared_op_count = static_cast<std::int64_t>(ops.size());
+  m.ops = std::move(ops);
   return Engine{std::move(m)};
 }
 
@@ -250,7 +254,7 @@ TEST(EngineOps, ActivationsMatchReferenceAtEveryLevel) {
       simd::tanh_inplace(kernel.data(), kernel.numel());
       for (const Kind kind : {Kind::kReLU, Kind::kTanh, Kind::kHardTanh}) {
         const Engine engine =
-            single_op_engine(ActivationOp{kind}, x.shape());
+            shared_stage_engine({ActivationOp{kind}}, x.shape());
         const Tensor y = engine.forward_shared(x);
         for (std::int64_t i = 0; i < x.numel(); ++i) {
           const float v = x.data()[i];
@@ -288,26 +292,69 @@ TEST(EngineOps, ActivationsMatchReferenceAtEveryLevel) {
   }
 }
 
-TEST(EngineOps, MaxPoolMatchesFrameworkLayerBitExact) {
-  // nn::MaxPool2d is pinned to the reference scan in test_property_batch;
-  // the engine's op must agree with it bit for bit (NaN never wins).
-  Rng rng(9);
-  struct Geom {
+// One row of the engine-vs-framework table: the engine ops (a Flatten
+// ahead of a linear op) and the nn layer they must match byte for byte in
+// eval mode, before any prepare_inference().
+struct OpCase {
+  std::string name;
+  std::vector<Op> ops;
+  std::shared_ptr<nn::Layer> layer;
+  Shape input;
+  bool flatten = false;  // the layer takes [N, C*H*W]
+};
+
+std::vector<OpCase> framework_op_cases(Rng& rng) {
+  std::vector<OpCase> cases;
+  for (const bool bias : {true, false}) {
+    auto conv = std::make_shared<nn::Conv2d>(3, 5, 3, 2, 1, 11, 9, rng, bias);
+    conv->bias_param().value = Tensor::randn(Shape{5}, rng);
+    cases.push_back({"conv2d bias=" + std::to_string(bias),
+                     {Conv2dOp{conv->geometry(), 5, bias, conv->weight().value,
+                               conv->bias_param().value}},
+                     conv, Shape{3, 3, 11, 9}});
+    auto lin = std::make_shared<nn::Linear>(12, 7, rng, bias);
+    lin->bias_param().value = Tensor::randn(Shape{7}, rng);
+    cases.push_back({"linear bias=" + std::to_string(bias),
+                     {FlattenOp{}, LinearOp{12, 7, bias, lin->weight().value,
+                                            lin->bias_param().value}},
+                     lin, Shape{3, 3, 2, 2}, true});
+  }
+  cases.push_back({"relu", {ActivationOp{ActivationOp::Kind::kReLU}},
+                   std::make_shared<nn::ReLU>(), Shape{3, 5, 7, 3}});
+  cases.push_back({"hardtanh", {ActivationOp{ActivationOp::Kind::kHardTanh}},
+                   std::make_shared<nn::HardTanh>(), Shape{3, 5, 7, 3}});
+  struct Pool {
     std::int64_t k, s, h, w;
   };
+  for (const Pool g : {Pool{2, 2, 28, 28}, Pool{2, 2, 16, 16},
+                       Pool{3, 2, 15, 13}, Pool{3, 1, 7, 9},
+                       Pool{2, 2, 5, 3}}) {
+    cases.push_back({"maxpool k=" + std::to_string(g.k) +
+                         " s=" + std::to_string(g.s),
+                     {MaxPoolOp{g.k, g.s}},
+                     std::make_shared<nn::MaxPool2d>(g.k, g.s),
+                     Shape{3, 4, g.h, g.w}});
+  }
+  cases.push_back({"gap", {GlobalAvgPoolOp{}},
+                   std::make_shared<nn::GlobalAvgPool>(), Shape{3, 4, 5, 7}});
+  return cases;
+}
+
+TEST(EngineOps, OneOpEnginesMatchFrameworkLayersBitExact) {
+  // Engine and framework run the same forward kernels; the inputs carry
+  // NaN, +-0, +-inf and denormals, and NaN never wins a max-pool window.
+  Rng rng(9);
   for (const simd::Level level : testable_levels()) {
     simd::ScopedForcedLevel force(level);
-    for (const Geom g : {Geom{2, 2, 28, 28}, Geom{2, 2, 16, 16},
-                         Geom{3, 2, 15, 13}, Geom{3, 1, 7, 9},
-                         Geom{2, 2, 5, 3}}) {
-      const std::string tag = std::string(simd::level_name(level)) +
-                              " k=" + std::to_string(g.k) +
-                              " s=" + std::to_string(g.s);
-      const Tensor x = awkward_values(Shape{3, 4, g.h, g.w}, rng);
-      const Engine engine = single_op_engine(MaxPoolOp{g.k, g.s}, x.shape());
-      nn::MaxPool2d layer(g.k, g.s);
-      EXPECT_TRUE(same_bytes(engine.forward_shared(x), layer.forward(x, false)))
-          << tag;
+    for (const OpCase& c : framework_op_cases(rng)) {
+      const std::string tag = std::string(simd::level_name(level)) + " " +
+                              c.name;
+      const Tensor x = awkward_values(c.input, rng);
+      const Engine engine = shared_stage_engine(c.ops, x.shape());
+      const Tensor want = c.layer->forward(
+          c.flatten ? x.reshaped(Shape{x.dim(0), x.numel() / x.dim(0)}) : x,
+          false);
+      EXPECT_TRUE(same_bytes(engine.forward_shared(x), want)) << tag;
       expect_batch_equals_single(engine, x, tag);
     }
   }
@@ -328,13 +375,8 @@ TEST(EngineOps, LinearBiasIsBiasFreeOutputPlusBias) {
       without.has_bias = false;
       const Tensor x = Tensor::randn(Shape{3, in, 1, 1}, rng);
       const auto run = [&](const LinearOp& op) {
-        WebModel m;
-        m.in_c = in;
-        m.in_h = m.in_w = 1;
-        m.num_classes = out;
-        m.shared_op_count = 2;
-        m.ops = {FlattenOp{}, op};
-        return Engine{std::move(m)}.forward_shared(x);
+        return shared_stage_engine({FlattenOp{}, op}, x.shape())
+            .forward_shared(x);
       };
       const Tensor base = run(without);
       const Tensor y = run(with);
@@ -368,7 +410,7 @@ TEST(EngineOps, ScalarLevelSharedStageIsExactStdTanh) {
       }
       ++tanh_ops;
     } else {
-      x = single_op_engine(op, x.shape()).forward_shared(x);
+      x = shared_stage_engine({op}, x.shape()).forward_shared(x);
     }
   }
   ASSERT_GT(tanh_ops, 0) << "LeNet's shared stage has no tanh to check";
